@@ -147,9 +147,7 @@ void append_double(std::string& out, double v) {
   out.append(buf, res.ptr);
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -187,8 +185,6 @@ void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-}  // namespace
-
 void Json::dump_to(std::string& out) const {
   switch (type()) {
     case Type::kNull:
@@ -213,7 +209,7 @@ void Json::dump_to(std::string& out) const {
       return;
     }
     case Type::kString:
-      append_escaped(out, std::get<std::string>(value_));
+      append_quoted(out, std::get<std::string>(value_));
       return;
     case Type::kArray: {
       out.push_back('[');
@@ -230,7 +226,7 @@ void Json::dump_to(std::string& out) const {
       const Object& o = std::get<Object>(value_);
       for (std::size_t i = 0; i < o.size(); ++i) {
         if (i) out.push_back(',');
-        append_escaped(out, o[i].first);
+        append_quoted(out, o[i].first);
         out.push_back(':');
         o[i].second.dump_to(out);
       }
@@ -244,6 +240,47 @@ std::string Json::dump() const {
   std::string out;
   dump_to(out);
   return out;
+}
+
+std::string_view number_token(std::string_view text) {
+  std::size_t end = 0;
+  while (end < text.size()) {
+    const char c = text[end];
+    if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-')
+      ++end;
+    else
+      break;
+  }
+  return text.substr(0, end);
+}
+
+bool number_from_token(std::string_view token, Json& out) {
+  if (token.empty() || token == "-") return false;
+  const bool integral = token.find_first_of(".eE") == std::string_view::npos;
+  if (integral) {
+    if (token[0] == '-') {
+      std::int64_t i = 0;
+      const auto res = std::from_chars(token.data(), token.data() + token.size(), i);
+      if (res.ec == std::errc() && res.ptr == token.data() + token.size()) {
+        // "-0" must keep its sign when read back as a double.
+        out = i == 0 ? Json(-0.0) : Json(i);
+        return true;
+      }
+    } else {
+      std::uint64_t u = 0;
+      const auto res = std::from_chars(token.data(), token.data() + token.size(), u);
+      if (res.ec == std::errc() && res.ptr == token.data() + token.size()) {
+        out = Json(u);
+        return true;
+      }
+    }
+    // Integer overflow: fall through to double.
+  }
+  double d = 0.0;
+  const auto res = std::from_chars(token.data(), token.data() + token.size(), d);
+  if (res.ec != std::errc() || res.ptr != token.data() + token.size()) return false;
+  out = Json(d);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -451,40 +488,12 @@ class Parser {
   }
 
   Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-')
-        ++pos_;
-      else
-        break;
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
+    const std::string_view token = number_token(text_.substr(pos_));
+    pos_ += token.size();
     if (token.empty() || token == "-") fail("invalid number");
-
-    const bool integral = token.find_first_of(".eE") == std::string_view::npos;
-    if (integral) {
-      if (token[0] == '-') {
-        std::int64_t i = 0;
-        const auto res = std::from_chars(token.data(), token.data() + token.size(), i);
-        if (res.ec == std::errc() && res.ptr == token.data() + token.size()) {
-          // "-0" must keep its sign when read back as a double.
-          if (i == 0) return Json(-0.0);
-          return Json(i);
-        }
-      } else {
-        std::uint64_t u = 0;
-        const auto res = std::from_chars(token.data(), token.data() + token.size(), u);
-        if (res.ec == std::errc() && res.ptr == token.data() + token.size()) return Json(u);
-      }
-      // Integer overflow: fall through to double.
-    }
-    double d = 0.0;
-    const auto res = std::from_chars(token.data(), token.data() + token.size(), d);
-    if (res.ec != std::errc() || res.ptr != token.data() + token.size())
-      fail("invalid number '" + std::string(token) + "'");
-    return Json(d);
+    Json value;
+    if (!number_from_token(token, value)) fail("invalid number '" + std::string(token) + "'");
+    return value;
   }
 
   std::string_view text_;

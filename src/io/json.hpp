@@ -122,4 +122,19 @@ class Json {
 /// non-finite values.
 void append_double(std::string& out, double v);
 
+/// The number token at the start of \p text, as Json::parse delimits it:
+/// the longest prefix of characters from [0-9.eE+-]. Empty when \p text
+/// does not start with one.
+[[nodiscard]] std::string_view number_token(std::string_view text);
+
+/// Reads a token from number_token() into \p out the way Json::parse
+/// reads numbers: integers stay exact int64/uint64 (overflow falls back to
+/// double) and "-0" keeps its sign. False, leaving \p out alone, where
+/// Json::parse rejects the token.
+bool number_from_token(std::string_view token, Json& out);
+
+/// Appends \p s as a JSON string literal: quoted, with quotes, backslashes
+/// and control characters escaped, exactly as Json::dump writes strings.
+void append_quoted(std::string& out, std::string_view s);
+
 }  // namespace mobsrv::io

@@ -1,6 +1,7 @@
 #include "serve/frames.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/contracts.hpp"
 
@@ -244,7 +245,68 @@ TenantSpec tenant_spec_from_json(const Json& doc) {
   return spec_from_members(doc, "tenant spec");
 }
 
+namespace {
+
+/// The frame nearly every line is, in the exact shape clients write it:
+/// {"type":"req","tenant":"NAME","batch":[[x,...],...]} with no whitespace,
+/// no escapes in NAME and at least one request. Reads it without building a
+/// Json object and returns true only where parse_client_frame's general
+/// path would return the same frame. Anything else (another member order,
+/// whitespace, an escape, a bad number, mixed dimensions) returns false and
+/// takes the general path, which owns every error message.
+bool parse_plain_req(std::string_view line, ClientFrame& frame) {
+  constexpr std::string_view kHead = R"({"type":"req","tenant":")";
+  constexpr std::string_view kBatch = R"(","batch":[)";
+  if (line.substr(0, kHead.size()) != kHead) return false;
+  const std::size_t name_end = line.find('"', kHead.size());
+  if (name_end == std::string_view::npos) return false;
+  const std::string_view name = line.substr(kHead.size(), name_end - kHead.size());
+  for (const char c : name)
+    if (static_cast<unsigned char>(c) < 0x20 || c == '\\') return false;
+  if (line.substr(name_end, kBatch.size()) != kBatch) return false;
+  std::size_t pos = name_end + kBatch.size();
+  sim::RequestBatch batch;
+  int dim = 0;
+  for (;;) {
+    if (pos >= line.size() || line[pos] != '[') return false;
+    ++pos;
+    double coords[sim::Point::kMaxDim] = {};
+    int n = 0;
+    for (;;) {
+      const std::string_view token = io::number_token(line.substr(pos));
+      Json number;
+      if (n == sim::Point::kMaxDim || !io::number_from_token(token, number)) return false;
+      coords[n++] = number.as_double();
+      pos += token.size();
+      if (pos >= line.size()) return false;
+      if (line[pos] == ']') break;
+      if (line[pos] != ',') return false;
+      ++pos;
+    }
+    ++pos;
+    if (dim == 0)
+      dim = n;
+    else if (n != dim)
+      return false;
+    sim::Point request(n);
+    for (int a = 0; a < n; ++a) request[a] = coords[a];
+    batch.requests.push_back(request);
+    if (pos >= line.size()) return false;
+    if (line[pos] == ']') break;
+    if (line[pos] != ',') return false;
+    ++pos;
+  }
+  if (line.substr(pos) != "]}") return false;
+  frame.type = FrameType::kReq;
+  frame.tenant.assign(name);
+  frame.batch = std::move(batch);
+  return true;
+}
+
+}  // namespace
+
 ClientFrame parse_client_frame(std::string_view line) {
+  if (ClientFrame frame; parse_plain_req(line, frame)) return frame;
   Json doc;
   try {
     doc = Json::parse(line);
@@ -330,21 +392,43 @@ std::string opened_frame(const TenantSpec& spec) {
 
 std::string outcome_frame(const std::string& tenant, std::size_t t, double move_delta,
                           double service_delta, const core::SessionStats& stats, bool lean) {
-  Json doc = Json::object();
-  doc.set("type", "outcome");
-  doc.set("tenant", tenant);
-  doc.set("t", t);
-  doc.set("move", move_delta);
-  doc.set("service", service_delta);
-  doc.set("move_total", stats.move_cost);
-  doc.set("service_total", stats.service_cost);
-  doc.set("total", stats.total_cost);
+  // The one frame per consumed step, so it is written straight into the
+  // line rather than built as a Json object first (the object's members
+  // cost more than the step). The bytes are the ones Json::dump gives for
+  // the same members in the same order; test_serve_frames pins that.
+  std::string out;
+  out.reserve(lean ? 160 : 200);
+  out += R"({"type":"outcome","tenant":)";
+  io::append_quoted(out, tenant);
+  out += R"(,"t":)";
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), t).ptr);
+  out += R"(,"move":)";
+  io::append_double(out, move_delta);
+  out += R"(,"service":)";
+  io::append_double(out, service_delta);
+  out += R"(,"move_total":)";
+  io::append_double(out, stats.move_cost);
+  out += R"(,"service_total":)";
+  io::append_double(out, stats.service_cost);
+  out += R"(,"total":)";
+  io::append_double(out, stats.total_cost);
   if (!lean) {
-    Json positions = Json::array();
-    for (const sim::Point& p : stats.positions) positions.push_back(point_to_json(p));
-    doc.set("positions", std::move(positions));
+    out += R"(,"positions":[)";
+    for (std::size_t i = 0; i < stats.positions.size(); ++i) {
+      if (i != 0) out += ',';
+      out += '[';
+      const sim::Point& p = stats.positions[i];
+      for (int a = 0; a < p.dim(); ++a) {
+        if (a != 0) out += ',';
+        io::append_double(out, p[a]);
+      }
+      out += ']';
+    }
+    out += ']';
   }
-  return doc.dump();
+  out += '}';
+  return out;
 }
 
 std::string busy_frame(const std::string& tenant, std::uint64_t line, std::size_t queued,

@@ -67,8 +67,11 @@ ExitReason Service::run(std::istream& in, std::ostream& out) {
     // line. During a burst, frames keep landing and consumption batches up.
     if (in.rdbuf()->in_avail() <= 0) {
       pump(out);
-      out.flush();
+      flush(out);
     }
+    // A failed write means nobody reads the replies any more: stop taking
+    // input, but still drain and save what was accepted.
+    if (!out) return finish(ExitReason::kHangup, out);
     if (!std::getline(in, line)) {
       // getline also fails when a signal interrupts the read mid-wait.
       if (options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed))
@@ -514,12 +517,18 @@ ExitReason Service::finish(ExitReason reason, std::ostream& out) {
   maybe_snapshot(out, /*force=*/true);
   const char* why = reason == ExitReason::kEof        ? "eof"
                     : reason == ExitReason::kShutdown ? "shutdown"
+                    : reason == ExitReason::kHangup   ? "hangup"
                                                       : "signal";
   telemetry_.journal().record(obs::EventType::kDrain, {}, why);
   write_metrics(out, /*force=*/true);
   out << bye_frame(why, mux_.totals()) << '\n';
-  out.flush();
+  flush(out);
   return reason;
+}
+
+void Service::flush(std::ostream& out) {
+  telemetry_.flushes.inc();
+  out.flush();
 }
 
 void Service::write_metrics(std::ostream& out, bool force) {

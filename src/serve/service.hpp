@@ -25,10 +25,10 @@
 ///     the chain outgrows compact_ratio; a killed service restores from it
 ///     and continues bit-identically, proven by the kill/restore tests.
 ///
-/// The loop is transport-agnostic: it speaks std::istream/std::ostream, so
-/// stdin/stdout, a TCP connection and a Unix socket all drive the same
-/// code (tools/serve_main.cpp owns the transports), and tests drive it
-/// in-process over string streams.
+/// The loop is transport-agnostic: it speaks std::istream/std::ostream.
+/// stdin/stdout, a TCP connection and a Unix socket all reach it through
+/// the one fd transport in serve/transport.hpp, and tests drive it
+/// in-process over string streams too.
 #pragma once
 
 #include <atomic>
@@ -103,6 +103,7 @@ enum class ExitReason {
   kShutdown,  ///< `shutdown` frame; same graceful path
   kKill,      ///< `kill` frame: exited immediately, no drain or snapshot
   kSignal,    ///< stop flag set (SIGTERM/SIGINT); graceful path
+  kHangup,    ///< output went bad (the client hung up); graceful path
 };
 
 /// One long-running ingestion service over a private multiplexer.
@@ -117,8 +118,9 @@ class Service {
   void restore(const std::filesystem::path& path);
 
   /// Processes frames from \p in, writing response frames to \p out, until
-  /// EOF, a shutdown/kill frame, or the stop flag. Runs the graceful-drain
-  /// path (consume queues, snapshot, bye) for every reason except kKill.
+  /// EOF, a shutdown/kill frame, the stop flag, or \p out going bad. Runs
+  /// the graceful-drain path (consume queues, snapshot, bye) for every
+  /// reason except kKill.
   ExitReason run(std::istream& in, std::ostream& out);
 
   /// Accounting access for tests and the soak bench.
@@ -184,6 +186,8 @@ class Service {
   void note_tenant_error(std::size_t slot, const std::string& name, const std::string& message);
 
   ExitReason finish(ExitReason reason, std::ostream& out);
+  /// Flushes \p out and counts it (serve.flushes_total).
+  void flush(std::ostream& out);
 
   ServiceOptions options_;
   par::ThreadPool pool_;

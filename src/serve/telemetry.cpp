@@ -124,6 +124,8 @@ ServeTelemetry::ServeTelemetry(bool lean)
                                        "degraded-mode episodes entered after exhausted retries")),
       idle_timeouts(registry_.counter("serve.idle_timeouts_total", "tenants",
                                       "tenants closed by the --idle-timeout deadline")),
+      flushes(registry_.counter("serve.flushes_total", "flushes",
+                                "output flushes (one per input pause, plus the final one)")),
       tenants_open(registry_.gauge("serve.tenants_open", "tenants", "tenants open right now")),
       inflight_hwm(registry_.gauge("serve.inflight_hwm", "steps",
                                    "highest in-flight queue depth any tenant reached")),

@@ -97,6 +97,7 @@ class ServeTelemetry {
   obs::Counter& retries;          ///< serve.retries_total
   obs::Counter& degraded_total;   ///< serve.degraded_total
   obs::Counter& idle_timeouts;    ///< serve.idle_timeouts_total
+  obs::Counter& flushes;          ///< serve.flushes_total
   obs::Gauge& tenants_open;       ///< serve.tenants_open
   obs::Gauge& inflight_hwm;       ///< serve.inflight_hwm
   obs::Gauge& degraded;           ///< serve.degraded

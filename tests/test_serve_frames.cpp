@@ -4,6 +4,10 @@
 // server frame builders' exact shapes.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "io/json.hpp"
 #include "serve/frames.hpp"
 
@@ -281,6 +285,71 @@ TEST(ServeFrames, RateLimitsParseValidateAndRoundTrip) {
             std::string::npos);
 }
 
+// A `req` in the shape clients write takes a fast path that skips the Json
+// object. Leading whitespace is legal JSON the fast path never takes, so
+// "{ " + rest is the same frame through the general path; the two must
+// agree on every line, errors included (up to the offsets JSON errors quote).
+TEST(ServeFrames, PlainReqFastPathAgreesWithTheGeneralParser) {
+  const auto outcome = [](const std::string& line) {
+    std::string text;
+    try {
+      const ClientFrame frame = parse(line);
+      text = "type " + std::to_string(static_cast<int>(frame.type)) + " tenant [" +
+             frame.tenant + "]";
+      for (const geo::Point& p : frame.batch.requests) {
+        text += " (";
+        for (int a = 0; a < p.dim(); ++a) {
+          char bits[32];
+          std::snprintf(bits, sizeof(bits), " %a", p[a]);  // exact, keeps -0.0
+          text += bits;
+        }
+        text += ")";
+      }
+    } catch (const FrameError& error) {
+      // The inserted space moves JSON error offsets by one; drop them.
+      std::string message = error.what();
+      if (const std::size_t at = message.find(" (at byte "); at != std::string::npos)
+        message.erase(at, message.find(')', at) + 1 - at);
+      text = "error [" + message + "] tenant [" + error.tenant() + "]";
+    }
+    return text;
+  };
+  std::vector<std::string> batches;
+  for (const char* number :
+       {"0", "-0", "7", "-7", "0.5", "-0.0", "1e300", "1E+2", "2.5e-3", "01", "1.", ".5", "+1",
+        "-", "1e", "1e400", "0x10", "nan", "true", "18446744073709551615",
+        "18446744073709551616", "-9223372036854775808", "-9223372036854775809",
+        "0.1000000000000000055511151231257827"}) {
+    batches.push_back(std::string("[[") + number + "]]");
+    batches.push_back(std::string("[[1,") + number + "],[2,3]]");
+  }
+  for (const char* batch :
+       {"[]", "[[]]", "[[1],[2,3]]", "[[1,2],[3,4],[5,6]]", "[[1,2,3,4,5,6,7,8]]",
+        "[[1,2,3,4,5,6,7,8,9]]", "[[[1]]]", "[1]", "[[1] ]", "[[1],]", "[[1,]]", "[[1]", "{}",
+        "null"})
+    batches.emplace_back(batch);
+  std::vector<std::string> lines;
+  for (const char* tenant : {"t0", "", "a b", "\xc3\xa9", "q\\\"x", "n\\n", "c\x01"}) {
+    for (const std::string& batch : batches) {
+      const std::string head = std::string(R"("type":"req","tenant":")") + tenant + "\"";
+      lines.push_back("{" + head + R"(,"batch":)" + batch + "}");
+      lines.push_back("{" + head + R"(,"batch":)" + batch + "}x");
+      lines.push_back("{" + head + R"(,"batch":)" + batch);
+      lines.push_back("{" + head + R"(,"batch":)" + batch + R"(,"v":1})");
+    }
+  }
+  lines.emplace_back(R"({"type":"req","tenant":"t","batch":[[1]],"batch":[[2]]})");
+  lines.emplace_back(R"({"type":"req","tenant":"t","batc":[[1]]})");
+  lines.emplace_back(R"({"type":"req","tenant":"t)");
+  std::size_t accepted = 0;
+  for (const std::string& line : lines) {
+    const std::string fast = outcome(line);
+    EXPECT_EQ(fast, outcome("{ " + line.substr(1))) << line;
+    if (fast.rfind("type", 0) == 0) ++accepted;
+  }
+  EXPECT_GT(accepted, 50u);  // the corpus reaches the fast path, not only errors
+}
+
 // ---------------------------------------------------------------------------
 // Server frame builders.
 // ---------------------------------------------------------------------------
@@ -325,6 +394,55 @@ TEST(ServeFrames, ServerFramesAreOneJsonObjectWithAType) {
   const io::Json anon = io::Json::parse(serve::error_frame(0, "boom", "", false));
   EXPECT_EQ(anon.find("tenant"), nullptr);
   EXPECT_EQ(anon.find("line"), nullptr);
+}
+
+// outcome_frame writes its line directly instead of through a Json object;
+// the bytes must stay the ones the object would dump, member order included.
+TEST(ServeFrames, OutcomeFrameMatchesTheJsonDump) {
+  const auto reference = [](const std::string& tenant, std::size_t t, double move_delta,
+                            double service_delta, const core::SessionStats& stats, bool lean) {
+    io::Json doc = io::Json::object();
+    doc.set("type", "outcome");
+    doc.set("tenant", tenant);
+    doc.set("t", t);
+    doc.set("move", move_delta);
+    doc.set("service", service_delta);
+    doc.set("move_total", stats.move_cost);
+    doc.set("service_total", stats.service_cost);
+    doc.set("total", stats.total_cost);
+    if (!lean) {
+      io::Json positions = io::Json::array();
+      for (const geo::Point& p : stats.positions) {
+        io::Json coords = io::Json::array();
+        for (int i = 0; i < p.dim(); ++i) coords.push_back(p[i]);
+        positions.push_back(std::move(coords));
+      }
+      doc.set("positions", std::move(positions));
+    }
+    return doc.dump();
+  };
+  core::SessionStats stats;
+  stats.move_cost = 0.1 + 0.2;
+  stats.service_cost = 1e300;
+  stats.total_cost = 5e-324;
+  stats.positions = {geo::Point{-0.0, 2.5}, geo::Point{1.0 / 3.0, -7.0}};
+  core::SessionStats one_dim;
+  one_dim.positions = {geo::Point{123456.789}};
+  core::SessionStats no_servers;
+  for (const std::string& tenant :
+       {std::string("t0"), std::string("q\"u\\o\nte\r\t\b\f"), std::string("c\x01\x1f"),
+        std::string("\xc3\xa9t\xc3\xa9")}) {
+    for (const bool lean : {false, true}) {
+      for (const core::SessionStats* s : {&stats, &one_dim, &no_servers}) {
+        for (const std::size_t t : {std::size_t{0}, std::size_t{41}, ~std::size_t{0}}) {
+          EXPECT_EQ(serve::outcome_frame(tenant, t, -0.0, 0.25, *s, lean),
+                    reference(tenant, t, -0.0, 0.25, *s, lean));
+          EXPECT_EQ(serve::outcome_frame(tenant, t, 1e-7, -3.5e12, *s, lean),
+                    reference(tenant, t, 1e-7, -3.5e12, *s, lean));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

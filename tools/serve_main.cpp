@@ -9,7 +9,8 @@
 /// The service reads client frames (one JSON object per line) from stdin —
 /// or from a single TCP or Unix-socket connection — routes them to
 /// per-tenant sessions inside the SessionMultiplexer, and streams response
-/// frames back. docs/SERVICE.md is the wire-protocol reference;
+/// frames back. All three reach the service through the same fd transport
+/// (serve/transport.hpp). docs/SERVICE.md is the wire-protocol reference;
 /// docs/CLI.md documents the flags.
 ///
 /// Lifecycle: EOF, a `shutdown` frame, SIGTERM or SIGINT all drain every
@@ -21,11 +22,9 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <streambuf>
 #include <string>
 
 #include <netinet/in.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -35,6 +34,7 @@
 #include "io/args.hpp"
 #include "io/cli.hpp"
 #include "serve/service.hpp"
+#include "serve/transport.hpp"
 
 namespace {
 
@@ -46,6 +46,8 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 /// Installed WITHOUT SA_RESTART: a signal must interrupt the blocking read
 /// (or accept) so the service notices the stop flag and drains gracefully.
+/// SIGPIPE is ignored: a client that hangs up makes the next write fail
+/// with EPIPE, and the service drains and saves instead of dying.
 void install_signal_handlers() {
   struct sigaction sa{};
   sa.sa_handler = on_signal;
@@ -53,71 +55,8 @@ void install_signal_handlers() {
   sa.sa_flags = 0;
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
+  std::signal(SIGPIPE, SIG_IGN);
 }
-
-/// Read side of a connection fd. showmanyc() asks the kernel how many bytes
-/// are already buffered (FIONREAD), which is what lets the service batch
-/// frame intake during a burst and pump the multiplexer when input pauses.
-class FdInBuf : public std::streambuf {
- public:
-  explicit FdInBuf(int fd) : fd_(fd) { setg(buf_, buf_, buf_); }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    const ssize_t n = ::read(fd_, buf_, sizeof(buf_));
-    if (n <= 0) return traits_type::eof();
-    setg(buf_, buf_, buf_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
-  std::streamsize showmanyc() override {
-    int pending = 0;
-    if (::ioctl(fd_, FIONREAD, &pending) == 0 && pending > 0) return pending;
-    return 0;
-  }
-
- private:
-  int fd_;
-  char buf_[1 << 16];
-};
-
-/// Write side of a connection fd; flushes on sync() (the service flushes
-/// whenever it goes back to waiting for input).
-class FdOutBuf : public std::streambuf {
- public:
-  explicit FdOutBuf(int fd) : fd_(fd) { setp(buf_, buf_ + sizeof(buf_)); }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (flush() != 0) return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      *pptr() = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return traits_type::not_eof(ch);
-  }
-
-  int sync() override { return flush(); }
-
- private:
-  int flush() {
-    const char* p = pbase();
-    while (p < pptr()) {
-      const ssize_t n = ::write(fd_, p, static_cast<std::size_t>(pptr() - p));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return -1;
-      }
-      p += n;
-    }
-    setp(buf_, buf_ + sizeof(buf_));
-    return 0;
-  }
-
-  int fd_;
-  char buf_[1 << 16];
-};
 
 void print_usage(std::ostream& os) {
   os << "usage: mobsrv_serve [flags]\n"
@@ -295,28 +234,27 @@ int main(int argc, char** argv) {
       }
     }
 
+    // stdin/stdout unless a socket is asked for; either way one fd
+    // transport serves the connection.
+    int listener = -1;
+    int in_fd = 0;
+    int out_fd = 1;
     if (args.has("tcp") || args.has("unix")) {
-      const int listener =
-          args.has("tcp") ? listen_tcp(tcp_port) : listen_unix(args.get_string("unix", ""));
-      const int fd = accept_one(listener);
-      if (fd < 0) {
+      listener = args.has("tcp") ? listen_tcp(tcp_port) : listen_unix(args.get_string("unix", ""));
+      in_fd = out_fd = accept_one(listener);
+      if (in_fd < 0) {
         ::close(listener);
         // SIGTERM while waiting for the client: nothing to drain yet.
         return g_stop.load(std::memory_order_relaxed) ? 0 : 2;
       }
-      FdInBuf inbuf(fd);
-      FdOutBuf outbuf(fd);
-      std::istream in(&inbuf);
-      std::ostream out(&outbuf);
-      const serve::ExitReason reason = service.run(in, out);
-      out.flush();
-      ::close(fd);
+    }
+    const serve::ExitReason reason = serve::serve_fds(service, in_fd, out_fd);
+    if (listener >= 0) {
+      ::close(in_fd);
       ::close(listener);
       if (args.has("unix")) ::unlink(args.get_string("unix", "").c_str());
-      return exit_code(reason);
     }
-
-    return exit_code(service.run(std::cin, std::cout));
+    return exit_code(reason);
   } catch (const std::exception& error) {
     std::cerr << "mobsrv_serve: " << error.what() << "\n";
     return 1;
