@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <initializer_list>
 #include <iterator>
+#include <span>
+#include <string_view>
 #include <utility>
+#include <variant>
 
 #include "adversary/lower_bounds.hpp"
 #include "adversary/mobility.hpp"
@@ -36,7 +38,7 @@ std::string quoted(const char* key) {
 /// named in \p allowed, so typos fail loudly instead of silently running
 /// defaults. The error enumerates the allowed members — a scenario author's
 /// only feedback channel is this message.
-void reject_unknown_members(const Json& obj, std::initializer_list<const char*> allowed,
+void reject_unknown_members(const Json& obj, std::span<const char* const> allowed,
                             const std::string& what, const std::string& ctx) {
   for (const Json::Member& member : obj.as_object()) {
     bool ok = false;
@@ -150,121 +152,198 @@ sim::Point point_value(const Json& value, const std::string& what, const std::st
   return p;
 }
 
-/// Kind-appropriate defaults, copied from the generator parameter structs
-/// themselves so the two cannot drift. The mobility kinds additionally pin
-/// the corpus hardcodes (server at unit speed, D = 2) as their defaults.
-ScenarioParams defaults_for(const std::string& kind) {
+/// How a knob's value is validated. The field's type picks the reader; the
+/// rule picks the bound.
+enum class Rule {
+  kCount0,       ///< integer in [0, kMaxRounds]
+  kCount1,       ///< integer in [1, kMaxRounds]
+  kBatchSize,    ///< kCount1, and horizon × value <= kMaxRounds requests
+  kDim,          ///< integer in [1, Point::kMaxDim]
+  kAtLeast1,     ///< number >= 1
+  kPositive,     ///< number > 0
+  kNonNegative,  ///< number >= 0
+  kUnit,         ///< number in [0, 1]
+  kFraction,     ///< number in (0, 1]
+  kOrder,        ///< "move-then-serve" or "serve-then-move"
+};
+
+/// Every scalar knob of every kind: its ScenarioParams field, its JSON key
+/// and its rule, declared once. A key means the same field and rule in every
+/// kind that lists it, and the generator structs name their fields alike, so
+/// this one list drives parsing, the canonical form and the generator
+/// arguments. The importer kinds' structural members ("start", "file",
+/// "steps") are handled by hand.
+#define MOBSRV_SCENARIO_KNOBS(X)                             \
+  X(horizon, "horizon", kCount1)                             \
+  X(move_cost_weight, "d", kAtLeast1)                        \
+  X(max_step, "m", kPositive)                                \
+  X(dim, "dim", kDim)                                        \
+  X(requests_per_step, "requests_per_step", kBatchSize)      \
+  X(x, "x", kCount0)                                         \
+  X(delta, "delta", kPositive)                               \
+  X(r_min, "r_min", kCount1)                                 \
+  X(r_max, "r_max", kBatchSize)                              \
+  X(server_speed, "server_speed", kPositive)                 \
+  X(epsilon, "epsilon", kPositive)                           \
+  X(drift_speed, "drift_speed", kNonNegative)                \
+  X(spread, "spread", kNonNegative)                          \
+  X(site_distance, "site_distance", kPositive)               \
+  X(period, "period", kCount1)                               \
+  X(burst_probability, "burst_probability", kUnit)           \
+  X(half_width, "half_width", kPositive)                     \
+  X(speed, "speed", kPositive)                               \
+  X(alpha, "alpha", kUnit)                                   \
+  X(mean_speed_fraction, "mean_speed_fraction", kFraction)   \
+  X(noise_fraction, "noise_fraction", kNonNegative)          \
+  X(min_speed_fraction, "min_speed_fraction", kFraction)     \
+  X(max_pause, "max_pause", kCount0)                         \
+  X(half_period, "half_period", kCount1)                     \
+  X(agent_speed, "agent_speed", kPositive)                   \
+  X(order, "order", kOrder)
+
+struct Knob {
+  const char* key;
+  Rule rule;
+  std::variant<std::size_t ScenarioParams::*, int ScenarioParams::*, double ScenarioParams::*,
+               sim::ServiceOrder ScenarioParams::*>
+      field;
+};
+
+#define MOBSRV_KNOB_ROW(field, key, rule) Knob{key, Rule::rule, &ScenarioParams::field},
+const Knob kKnobs[] = {MOBSRV_SCENARIO_KNOBS(MOBSRV_KNOB_ROW)};
+#undef MOBSRV_KNOB_ROW
+
+/// Calls f(generator_field, params_field) for every knob field the
+/// generator (or importer) struct G also has.
+template <class G, class P, class F>
+void for_shared_fields(G& g, P& p, F f) {
+#define MOBSRV_SHARED_FIELD(field, key, rule) \
+  if constexpr (requires { g.field; }) f(g.field, p.field);
+  MOBSRV_SCENARIO_KNOBS(MOBSRV_SHARED_FIELD)
+#undef MOBSRV_SHARED_FIELD
+}
+
+/// A kind's defaults are its generator struct's own, so the two cannot drift.
+template <class G>
+ScenarioParams defaults_of() {
   ScenarioParams p;
-  if (kind == "theorem1") {
-    const adv::Theorem1Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.requests_per_step = d.requests_per_step;
-    p.x = d.x;
-  } else if (kind == "theorem2") {
-    const adv::Theorem2Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.delta = d.delta;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-    p.x = d.x;
-  } else if (kind == "theorem3") {
-    const adv::Theorem3Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "theorem8-moving-client") {
-    const adv::Theorem8Params d;
-    p.horizon = d.horizon;
-    p.server_speed = d.server_speed;
-    p.epsilon = d.epsilon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.dim = d.dim;
-    p.x = d.x;
-  } else if (kind == "drifting-hotspot") {
-    const adv::DriftingHotspotParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.drift_speed = d.drift_speed;
-    p.spread = d.spread;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-  } else if (kind == "commute") {
-    const adv::CommuteParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.site_distance = d.site_distance;
-    p.period = d.period;
-    p.spread = d.spread;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "bursts") {
-    const adv::BurstParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.drift_speed = d.drift_speed;
-    p.spread = d.spread;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-    p.burst_probability = d.burst_probability;
-  } else if (kind == "uniform-noise") {
-    const adv::UniformNoiseParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.half_width = d.half_width;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "random-waypoint") {
-    const adv::RandomWaypointParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.half_width = d.half_width;
-    p.max_pause = d.max_pause;
-    p.min_speed_fraction = d.min_speed_fraction;
-    p.move_cost_weight = 2.0;  // the corpus single-agent wrapper's choice
-    p.server_speed = 1.0;
-  } else if (kind == "gauss-markov") {
-    const adv::GaussMarkovParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.alpha = d.alpha;
-    p.mean_speed_fraction = d.mean_speed_fraction;
-    p.noise_fraction = d.noise_fraction;
-    p.move_cost_weight = 2.0;
-    p.server_speed = 1.0;
-  } else if (kind == "zigzag") {
-    const adv::ZigZagParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.half_period = d.half_period;
-    p.move_cost_weight = 2.0;
-    p.server_speed = 1.0;
-  } else if (kind == "demand") {
-    p.move_cost_weight = 1.0;
-    p.max_step = 1.0;
-    p.order = sim::ServiceOrder::kMoveThenServe;
-  } else if (kind == "waypoints") {
-    p.move_cost_weight = 1.0;
-    p.server_speed = 1.0;
-    p.agent_speed = 1.0;
-  }
+  const G g{};
+  for_shared_fields(g, p, [](const auto& from, auto& to) { to = from; });
   return p;
+}
+
+/// The mobility kinds wrap one agent; D = 2 and a unit-speed server are the
+/// corpus wrapper's choice.
+template <class G>
+ScenarioParams mobility_defaults_of() {
+  ScenarioParams p = defaults_of<G>();
+  p.move_cost_weight = 2.0;
+  p.server_speed = 1.0;
+  return p;
+}
+
+/// The generator arguments: every knob G shares, copied from \p p.
+template <class G>
+G args_of(const ScenarioParams& p) {
+  G g;
+  for_shared_fields(g, p, [](auto& to, const auto& from) { to = from; });
+  return g;
+}
+
+struct Kind {
+  std::string name;
+  std::vector<const char*> keys;   ///< allowlist: knobs, then structural members
+  std::vector<const Knob*> knobs;  ///< the keys found in kKnobs, in order
+  ScenarioParams defaults;
+};
+
+Kind make_kind(std::string name, std::vector<const char*> keys, ScenarioParams defaults) {
+  Kind kind{std::move(name), std::move(keys), {}, std::move(defaults)};
+  for (const char* key : kind.keys)
+    for (const Knob& knob : kKnobs)
+      if (std::string_view(key) == knob.key) kind.knobs.push_back(&knob);
+  return kind;
+}
+
+/// Every kind with the keys it accepts, in registry order. Key order is the
+/// allowlist order and the canonical member order.
+const std::vector<Kind>& kinds() {
+  static const std::vector<Kind> kKinds = {
+      make_kind("theorem1", {"horizon", "d", "m", "dim", "requests_per_step", "x"},
+                defaults_of<adv::Theorem1Params>()),
+      make_kind("theorem2", {"horizon", "d", "m", "dim", "delta", "r_min", "r_max", "x"},
+                defaults_of<adv::Theorem2Params>()),
+      make_kind("theorem3", {"horizon", "d", "m", "dim", "requests_per_step"},
+                defaults_of<adv::Theorem3Params>()),
+      make_kind("theorem8-moving-client", {"horizon", "server_speed", "epsilon", "d", "dim", "x"},
+                defaults_of<adv::Theorem8Params>()),
+      make_kind("drifting-hotspot",
+                {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min", "r_max"},
+                defaults_of<adv::DriftingHotspotParams>()),
+      make_kind("commute",
+                {"horizon", "dim", "d", "m", "site_distance", "period", "spread",
+                 "requests_per_step"},
+                defaults_of<adv::CommuteParams>()),
+      make_kind("bursts",
+                {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min", "r_max",
+                 "burst_probability"},
+                defaults_of<adv::BurstParams>()),
+      make_kind("uniform-noise", {"horizon", "dim", "d", "m", "half_width", "requests_per_step"},
+                defaults_of<adv::UniformNoiseParams>()),
+      make_kind("random-waypoint",
+                {"horizon", "dim", "speed", "half_width", "max_pause", "min_speed_fraction", "d",
+                 "server_speed"},
+                mobility_defaults_of<adv::RandomWaypointParams>()),
+      make_kind("gauss-markov",
+                {"horizon", "dim", "speed", "alpha", "mean_speed_fraction", "noise_fraction", "d",
+                 "server_speed"},
+                mobility_defaults_of<adv::GaussMarkovParams>()),
+      make_kind("zigzag", {"horizon", "dim", "speed", "half_period", "d", "server_speed"},
+                mobility_defaults_of<adv::ZigZagParams>()),
+      make_kind("demand", {"order", "d", "m", "start", "file", "steps"},
+                defaults_of<trace::DemandImportOptions>()),
+      make_kind("waypoints", {"d", "server_speed", "agent_speed", "file"},
+                defaults_of<trace::WaypointImportOptions>()),
+  };
+  return kKinds;
+}
+
+const Kind* find_kind(const std::string& name) {
+  for (const Kind& kind : kinds())
+    if (kind.name == name) return &kind;
+  return nullptr;
+}
+
+void read_value(const Json& obj, const Knob& knob, std::size_t& v, const std::string& ctx) {
+  v = count_field(obj, knob.key, v, knob.rule == Rule::kCount0 ? 0 : 1, ctx);
+}
+
+void read_value(const Json& obj, const Knob& knob, int& v, const std::string& ctx) {
+  v = dim_field(obj, knob.key, v, ctx);
+}
+
+void read_value(const Json& obj, const Knob& knob, sim::ServiceOrder& v, const std::string& ctx) {
+  v = order_field(obj, knob.key, v, ctx);
+}
+
+void read_value(const Json& obj, const Knob& knob, double& v, const std::string& ctx) {
+  switch (knob.rule) {
+    case Rule::kAtLeast1: v = double_at_least(obj, knob.key, v, 1.0, ctx); break;
+    case Rule::kNonNegative: v = double_at_least(obj, knob.key, v, 0.0, ctx); break;
+    case Rule::kUnit: v = unit_field(obj, knob.key, v, ctx); break;
+    case Rule::kFraction: v = fraction_field(obj, knob.key, v, ctx); break;
+    default: v = double_above(obj, knob.key, v, 0.0, ctx); break;  // kPositive
+  }
+}
+
+const char* order_name(sim::ServiceOrder order) {
+  return order == sim::ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
+}
+
+Json value_json(sim::ServiceOrder order) { return Json(order_name(order)); }
+template <class T>
+Json value_json(T v) {
+  return Json(v);
 }
 
 void parse_inline_steps(const Json& value, ScenarioParams& p, const std::string& ctx) {
@@ -295,178 +374,55 @@ void parse_inline_steps(const Json& value, ScenarioParams& p, const std::string&
   p.has_inline_steps = true;
 }
 
-ScenarioParams parse_params(const std::string& kind, const Json& obj, const std::string& ctx) {
-  ScenarioParams p = defaults_for(kind);
-  const std::string what = "\"params\" for kind \"" + kind + "\"";
-
-  if (kind == "theorem1" || kind == "theorem3") {
-    reject_unknown_members(obj, {"horizon", "d", "m", "dim", "requests_per_step", "x"}, what, ctx);
-    if (kind == "theorem3" && obj.find("x") != nullptr)
-      fail(ctx, "unknown member \"x\" in " + what +
-                    " (allowed: horizon, d, m, dim, requests_per_step)");
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "theorem2") {
-    reject_unknown_members(obj, {"horizon", "d", "m", "dim", "delta", "r_min", "r_max", "x"}, what,
-                           ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.delta = double_above(obj, "delta", p.delta, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "theorem8-moving-client") {
-    reject_unknown_members(obj, {"horizon", "server_speed", "epsilon", "d", "dim", "x"}, what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    p.epsilon = double_above(obj, "epsilon", p.epsilon, 0.0, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "drifting-hotspot") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min",
-                                 "r_max"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.drift_speed = double_at_least(obj, "drift_speed", p.drift_speed, 0.0, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    return p;
-  }
-  if (kind == "commute") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "site_distance", "period", "spread",
-                                 "requests_per_step"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.site_distance = double_above(obj, "site_distance", p.site_distance, 0.0, ctx);
-    p.period = count_field(obj, "period", p.period, 1, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    return p;
-  }
-  if (kind == "bursts") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min",
-                                 "r_max", "burst_probability"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.drift_speed = double_at_least(obj, "drift_speed", p.drift_speed, 0.0, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    p.burst_probability = unit_field(obj, "burst_probability", p.burst_probability, ctx);
-    return p;
-  }
-  if (kind == "uniform-noise") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "half_width", "requests_per_step"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.half_width = double_above(obj, "half_width", p.half_width, 0.0, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    return p;
-  }
-  if (kind == "random-waypoint") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "half_width", "max_pause",
-                                 "min_speed_fraction", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.half_width = double_above(obj, "half_width", p.half_width, 0.0, ctx);
-    p.max_pause = count_field(obj, "max_pause", p.max_pause, 0, ctx);
-    p.min_speed_fraction = fraction_field(obj, "min_speed_fraction", p.min_speed_fraction, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "gauss-markov") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "alpha", "mean_speed_fraction",
-                                 "noise_fraction", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.alpha = unit_field(obj, "alpha", p.alpha, ctx);
-    p.mean_speed_fraction = fraction_field(obj, "mean_speed_fraction", p.mean_speed_fraction, ctx);
-    p.noise_fraction = double_at_least(obj, "noise_fraction", p.noise_fraction, 0.0, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "zigzag") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "half_period", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.half_period = count_field(obj, "half_period", p.half_period, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "demand") {
-    reject_unknown_members(obj, {"order", "d", "m", "start", "file", "steps"}, what, ctx);
-    p.order = order_field(obj, "order", p.order, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    if (const Json* start = obj.find("start")) p.start = point_value(*start, "\"start\"", ctx);
-    const Json* file = obj.find("file");
-    const Json* steps = obj.find("steps");
-    if ((file != nullptr) == (steps != nullptr))
-      fail(ctx, "kind \"demand\" requires exactly one of \"file\" and \"steps\"");
-    if (file != nullptr) {
-      p.file = string_field(obj, "file", ctx);
-    } else {
-      parse_inline_steps(*steps, p, ctx);
-      if (!p.start.empty()) {
-        // parse_inline_steps already enforced one dimension across requests;
-        // an explicit start must share it.
-        for (const std::vector<sim::Point>& batch : p.steps)
-          for (const sim::Point& request : batch)
-            if (request.dim() != p.start.dim())
-              fail(ctx, "\"start\" dimension " + std::to_string(p.start.dim()) +
-                            " does not match the request dimension " +
-                            std::to_string(request.dim()));
-      }
-    }
-    return p;
-  }
+/// The importer kinds' structural members: demand's "start" and exactly one
+/// of "file" and "steps"; waypoints' required "file".
+void parse_importer_data(const std::string& kind, const Json& obj, ScenarioParams& p,
+                         const std::string& ctx) {
   if (kind == "waypoints") {
-    reject_unknown_members(obj, {"d", "server_speed", "agent_speed", "file"}, what, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    p.agent_speed = double_above(obj, "agent_speed", p.agent_speed, 0.0, ctx);
     p.file = string_field(obj, "file", ctx);
-    return p;
+    return;
   }
-  fail(ctx, "unknown kind \"" + kind + "\"");  // unreachable: kind pre-validated
+  if (const Json* start = obj.find("start")) p.start = point_value(*start, "\"start\"", ctx);
+  const Json* file = obj.find("file");
+  const Json* steps = obj.find("steps");
+  if ((file != nullptr) == (steps != nullptr))
+    fail(ctx, "kind \"demand\" requires exactly one of \"file\" and \"steps\"");
+  if (file != nullptr) {
+    p.file = string_field(obj, "file", ctx);
+    return;
+  }
+  parse_inline_steps(*steps, p, ctx);
+  if (p.start.empty()) return;
+  // parse_inline_steps already enforced one dimension across requests; an
+  // explicit start must share it.
+  for (const std::vector<sim::Point>& batch : p.steps)
+    for (const sim::Point& request : batch)
+      if (request.dim() != p.start.dim())
+        fail(ctx, "\"start\" dimension " + std::to_string(p.start.dim()) +
+                      " does not match the request dimension " + std::to_string(request.dim()));
+}
+
+ScenarioParams parse_params(const Kind& kind, const Json& obj, const std::string& ctx) {
+  ScenarioParams p = kind.defaults;
+  reject_unknown_members(obj, kind.keys, "\"params\" for kind \"" + kind.name + "\"", ctx);
+  for (const Knob* knob : kind.knobs) {
+    std::visit([&](auto field) { read_value(obj, *knob, p.*field, ctx); }, knob->field);
+    if (knob->key == std::string_view("r_max") && p.r_max < p.r_min)
+      fail(ctx, "\"r_max\" must be >= \"r_min\"");
+  }
+  // A generator builds up to horizon × batch size requests; one file must
+  // not be able to ask for more than a trace may hold rounds.
+  for (const Knob* knob : kind.knobs) {
+    if (knob->rule != Rule::kBatchSize) continue;
+    const std::size_t batch = p.*std::get<std::size_t ScenarioParams::*>(knob->field);
+    if (p.horizon * batch > kMaxRounds)
+      fail(ctx, "\"horizon\" " + std::to_string(p.horizon) + " times " + quoted(knob->key) + " " +
+                    std::to_string(batch) + " asks for more than " + std::to_string(kMaxRounds) +
+                    " requests");
+  }
+  if (kind.name == "demand" || kind.name == "waypoints")
+    parse_importer_data(kind.name, obj, p, ctx);
+  return p;
 }
 
 trace::TraceFile from_adversarial(trace::TraceMeta meta, adv::AdversarialInstance a) {
@@ -499,10 +455,6 @@ std::filesystem::path resolve_path(const std::filesystem::path& base_dir,
   return base_dir / path;
 }
 
-const char* order_name(sim::ServiceOrder order) {
-  return order == sim::ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
-}
-
 Json point_json(const sim::Point& p) {
   Json arr = Json::array();
   for (int i = 0; i < p.dim(); ++i) arr.push_back(Json(p[i]));
@@ -512,111 +464,23 @@ Json point_json(const sim::Point& p) {
 Json params_json(const Scenario& sc) {
   const ScenarioParams& p = sc.params;
   Json obj = Json::object();
-  if (sc.kind == "theorem1" || sc.kind == "theorem3") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("dim", Json(p.dim));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-    if (sc.kind == "theorem1") obj.set("x", Json(p.x));
-  } else if (sc.kind == "theorem2") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("dim", Json(p.dim));
-    obj.set("delta", Json(p.delta));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-    obj.set("x", Json(p.x));
-  } else if (sc.kind == "theorem8-moving-client") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("server_speed", Json(p.server_speed));
-    obj.set("epsilon", Json(p.epsilon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("dim", Json(p.dim));
-    obj.set("x", Json(p.x));
-  } else if (sc.kind == "drifting-hotspot") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("drift_speed", Json(p.drift_speed));
-    obj.set("spread", Json(p.spread));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-  } else if (sc.kind == "commute") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("site_distance", Json(p.site_distance));
-    obj.set("period", Json(p.period));
-    obj.set("spread", Json(p.spread));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-  } else if (sc.kind == "bursts") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("drift_speed", Json(p.drift_speed));
-    obj.set("spread", Json(p.spread));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-    obj.set("burst_probability", Json(p.burst_probability));
-  } else if (sc.kind == "uniform-noise") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("half_width", Json(p.half_width));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-  } else if (sc.kind == "random-waypoint") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("half_width", Json(p.half_width));
-    obj.set("max_pause", Json(p.max_pause));
-    obj.set("min_speed_fraction", Json(p.min_speed_fraction));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "gauss-markov") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("alpha", Json(p.alpha));
-    obj.set("mean_speed_fraction", Json(p.mean_speed_fraction));
-    obj.set("noise_fraction", Json(p.noise_fraction));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "zigzag") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("half_period", Json(p.half_period));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "demand") {
-    obj.set("order", Json(order_name(p.order)));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    if (!p.start.empty()) obj.set("start", point_json(p.start));
-    if (p.has_inline_steps) {
-      Json steps = Json::array();
-      for (const std::vector<sim::Point>& batch : p.steps) {
-        Json requests = Json::array();
-        for (const sim::Point& request : batch) requests.push_back(point_json(request));
-        steps.push_back(std::move(requests));
-      }
-      obj.set("steps", std::move(steps));
-    } else {
-      obj.set("file", Json(p.file));
-    }
-  } else if (sc.kind == "waypoints") {
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-    obj.set("agent_speed", Json(p.agent_speed));
+  const Kind* kind = find_kind(sc.kind);
+  if (kind == nullptr) return obj;
+  for (const Knob* knob : kind->knobs)
+    std::visit([&](auto field) { obj.set(knob->key, value_json(p.*field)); }, knob->field);
+  if (sc.kind != "demand" && sc.kind != "waypoints") return obj;
+  if (!p.start.empty()) obj.set("start", point_json(p.start));
+  if (!p.has_inline_steps) {
     obj.set("file", Json(p.file));
+    return obj;
   }
+  Json steps = Json::array();
+  for (const std::vector<sim::Point>& batch : p.steps) {
+    Json requests = Json::array();
+    for (const sim::Point& request : batch) requests.push_back(point_json(request));
+    steps.push_back(std::move(requests));
+  }
+  obj.set("steps", std::move(steps));
   return obj;
 }
 
@@ -683,19 +547,15 @@ bool valid_name(const std::string& name) {
 }  // namespace
 
 const std::vector<std::string>& scenario_kinds() {
-  static const std::vector<std::string> kKinds = {
-      "theorem1",       "theorem2", "theorem3",      "theorem8-moving-client",
-      "drifting-hotspot", "commute", "bursts",        "uniform-noise",
-      "random-waypoint", "gauss-markov", "zigzag",   "demand",
-      "waypoints",
-  };
-  return kKinds;
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Kind& kind : kinds()) names.push_back(kind.name);
+    return names;
+  }();
+  return kNames;
 }
 
-bool is_scenario_kind(const std::string& kind) {
-  const std::vector<std::string>& kinds = scenario_kinds();
-  return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
-}
+bool is_scenario_kind(const std::string& kind) { return find_kind(kind) != nullptr; }
 
 Scenario from_json(const Json& doc, const std::string& context) {
   std::string ctx = context;
@@ -706,8 +566,9 @@ Scenario from_json(const Json& doc, const std::string& context) {
   if (const Json* name = doc.find("name"); name != nullptr && name->is_string())
     ctx += ": scenario \"" + name->as_string() + "\"";
 
-  reject_unknown_members(doc, {"v", "name", "kind", "seed", "speed_factor", "params", "fleet"},
-                         "a scenario document", ctx);
+  static constexpr const char* kDocumentKeys[] = {"v",     "name",  "kind",  "seed",
+                                                  "speed_factor", "params", "fleet"};
+  reject_unknown_members(doc, kDocumentKeys, "a scenario document", ctx);
 
   const Json& version = require(doc, "v", ctx);
   bool version_ok = version.is_number();
@@ -727,7 +588,8 @@ Scenario from_json(const Json& doc, const std::string& context) {
   if (!valid_name(sc.name))
     fail(ctx, "\"name\" must use only letters, digits, '-', '_' and '.', got \"" + sc.name + "\"");
   sc.kind = string_field(doc, "kind", ctx);
-  if (!is_scenario_kind(sc.kind)) {
+  const Kind* kind = find_kind(sc.kind);
+  if (kind == nullptr) {
     std::string list;
     for (const std::string& kind : scenario_kinds()) {
       if (!list.empty()) list += ", ";
@@ -749,11 +611,12 @@ Scenario from_json(const Json& doc, const std::string& context) {
   const Json* params = doc.find("params");
   if (params != nullptr && !params->is_object()) fail(ctx, "\"params\" must be an object");
   const Json empty = Json::object();
-  sc.params = parse_params(sc.kind, params != nullptr ? *params : empty, ctx);
+  sc.params = parse_params(*kind, params != nullptr ? *params : empty, ctx);
 
   if (const Json* fleet = doc.find("fleet")) {
     if (!fleet->is_object()) fail(ctx, "\"fleet\" must be an object");
-    reject_unknown_members(*fleet, {"size", "spread"}, "\"fleet\"", ctx);
+    static constexpr const char* kFleetKeys[] = {"size", "spread"};
+    reject_unknown_members(*fleet, kFleetKeys, "\"fleet\"", ctx);
     FleetSpec spec;
     spec.size = count_field(*fleet, "size", spec.size, 1, ctx);
     if (spec.size > 4096) fail(ctx, "\"size\" must be in [1, 4096]");
@@ -812,173 +675,70 @@ trace::TraceFile materialize(const Scenario& sc, const std::filesystem::path& ba
   stats::Rng rng({stats::hash_name("corpus"), stats::hash_name(sc.name), sc.seed});
   trace::TraceMeta meta{sc.name, "scenario", sc.seed};
 
-  if (sc.kind == "theorem1") {
-    adv::Theorem1Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.requests_per_step = p.requests_per_step;
-    a.x = p.x;
-    return from_adversarial(std::move(meta), adv::make_theorem1(a, rng));
-  }
-  if (sc.kind == "theorem2") {
-    adv::Theorem2Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.delta = p.delta;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    a.x = p.x;
-    return from_adversarial(std::move(meta), adv::make_theorem2(a, rng));
-  }
-  if (sc.kind == "theorem3") {
-    adv::Theorem3Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.requests_per_step = p.requests_per_step;
-    return from_adversarial(std::move(meta), adv::make_theorem3(a, rng));
-  }
+  if (sc.kind == "theorem1")
+    return from_adversarial(std::move(meta),
+                            adv::make_theorem1(args_of<adv::Theorem1Params>(p), rng));
+  if (sc.kind == "theorem2")
+    return from_adversarial(std::move(meta),
+                            adv::make_theorem2(args_of<adv::Theorem2Params>(p), rng));
+  if (sc.kind == "theorem3")
+    return from_adversarial(std::move(meta),
+                            adv::make_theorem3(args_of<adv::Theorem3Params>(p), rng));
   if (sc.kind == "theorem8-moving-client") {
-    adv::Theorem8Params a;
-    a.horizon = p.horizon;
-    a.server_speed = p.server_speed;
-    a.epsilon = p.epsilon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.dim = p.dim;
-    a.x = p.x;
-    adv::MovingClientAdversarial result = adv::make_theorem8(a, rng);
+    adv::MovingClientAdversarial result = adv::make_theorem8(args_of<adv::Theorem8Params>(p), rng);
     trace::TraceFile file = from_moving_client(std::move(meta), std::move(result.mc));
     file.adversary = trace::AdversaryInfo{result.adversary_cost,
                                           std::move(result.adversary_positions)};
     return file;
   }
-  if (sc.kind == "drifting-hotspot") {
-    adv::DriftingHotspotParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.drift_speed = p.drift_speed;
-    a.spread = p.spread;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    return trace::TraceFile(std::move(meta), adv::make_drifting_hotspot(a, rng));
+  if (sc.kind == "drifting-hotspot")
+    return trace::TraceFile(std::move(meta), adv::make_drifting_hotspot(
+                                                 args_of<adv::DriftingHotspotParams>(p), rng));
+  if (sc.kind == "commute")
+    return trace::TraceFile(std::move(meta),
+                            adv::make_commute(args_of<adv::CommuteParams>(p), rng));
+  if (sc.kind == "bursts")
+    return trace::TraceFile(std::move(meta), adv::make_bursts(args_of<adv::BurstParams>(p), rng));
+  if (sc.kind == "uniform-noise")
+    return trace::TraceFile(std::move(meta),
+                            adv::make_uniform_noise(args_of<adv::UniformNoiseParams>(p), rng));
+  if (sc.kind == "demand" && p.has_inline_steps) {
+    std::vector<sim::RequestBatch> steps(p.steps.size());
+    for (std::size_t t = 0; t < p.steps.size(); ++t) steps[t].requests = p.steps[t];
+    sim::Point start = p.start;
+    if (start.empty())
+      for (const sim::RequestBatch& batch : steps) {
+        if (batch.empty()) continue;
+        start = batch.requests.front();
+        break;
+      }
+    return trace::TraceFile(std::move(meta), sim::Instance(start, args_of<sim::ModelParams>(p),
+                                                           std::move(steps)));
   }
-  if (sc.kind == "commute") {
-    adv::CommuteParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.site_distance = p.site_distance;
-    a.period = p.period;
-    a.spread = p.spread;
-    a.requests_per_step = p.requests_per_step;
-    return trace::TraceFile(std::move(meta), adv::make_commute(a, rng));
-  }
-  if (sc.kind == "bursts") {
-    adv::BurstParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.drift_speed = p.drift_speed;
-    a.spread = p.spread;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    a.burst_probability = p.burst_probability;
-    return trace::TraceFile(std::move(meta), adv::make_bursts(a, rng));
-  }
-  if (sc.kind == "uniform-noise") {
-    adv::UniformNoiseParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.half_width = p.half_width;
-    a.requests_per_step = p.requests_per_step;
-    return trace::TraceFile(std::move(meta), adv::make_uniform_noise(a, rng));
-  }
-  if (sc.kind == "random-waypoint") {
-    adv::RandomWaypointParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.half_width = p.half_width;
-    a.max_pause = p.max_pause;
-    a.min_speed_fraction = p.min_speed_fraction;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_random_waypoint(a, start, rng);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "gauss-markov") {
-    adv::GaussMarkovParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.alpha = p.alpha;
-    a.mean_speed_fraction = p.mean_speed_fraction;
-    a.noise_fraction = p.noise_fraction;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_gauss_markov(a, start, rng);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "zigzag") {
-    adv::ZigZagParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.half_period = p.half_period;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_zigzag(a, start);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "demand") {
-    if (p.has_inline_steps) {
-      std::vector<sim::RequestBatch> steps(p.steps.size());
-      for (std::size_t t = 0; t < p.steps.size(); ++t) steps[t].requests = p.steps[t];
-      sim::Point start = p.start;
-      if (start.empty())
-        for (const sim::RequestBatch& batch : steps) {
-          if (batch.empty()) continue;
-          start = batch.requests.front();
-          break;
-        }
-      sim::ModelParams params;
-      params.move_cost_weight = p.move_cost_weight;
-      params.max_step = p.max_step;
-      params.order = p.order;
-      return trace::TraceFile(std::move(meta), sim::Instance(start, params, std::move(steps)));
-    }
-    trace::DemandImportOptions options;
-    options.move_cost_weight = p.move_cost_weight;
-    options.max_step = p.max_step;
-    options.order = p.order;
-    options.start = p.start;
-    trace::TraceFile file = trace::import_demand(resolve_path(base_dir, p.file), options);
+  if (sc.kind == "demand" || sc.kind == "waypoints") {
+    const std::filesystem::path path = resolve_path(base_dir, p.file);
+    trace::DemandImportOptions demand = args_of<trace::DemandImportOptions>(p);
+    demand.start = p.start;
+    trace::TraceFile file =
+        sc.kind == "demand"
+            ? trace::import_demand(path, demand)
+            : trace::import_waypoints(path, args_of<trace::WaypointImportOptions>(p));
     file.meta = std::move(meta);
     return file;
   }
-  if (sc.kind == "waypoints") {
-    trace::WaypointImportOptions options;
-    options.server_speed = p.server_speed;
-    options.agent_speed = p.agent_speed;
-    options.move_cost_weight = p.move_cost_weight;
-    trace::TraceFile file = trace::import_waypoints(resolve_path(base_dir, p.file), options);
-    file.meta = std::move(meta);
-    return file;
-  }
+  // The mobility kinds drive one agent from the origin.
+  const sim::Point origin = sim::Point::zero(p.dim);
+  const auto one_agent = [&](sim::AgentPath path) {
+    return from_moving_client(std::move(meta), single_agent(origin, p.server_speed, p.speed,
+                                                            p.move_cost_weight, std::move(path)));
+  };
+  if (sc.kind == "random-waypoint")
+    return one_agent(
+        adv::make_random_waypoint(args_of<adv::RandomWaypointParams>(p), origin, rng));
+  if (sc.kind == "gauss-markov")
+    return one_agent(adv::make_gauss_markov(args_of<adv::GaussMarkovParams>(p), origin, rng));
+  if (sc.kind == "zigzag")
+    return one_agent(adv::make_zigzag(args_of<adv::ZigZagParams>(p), origin));
   throw ScenarioError("scenario \"" + sc.name + "\": unknown kind \"" + sc.kind + "\"");
 }
 
@@ -1003,7 +763,7 @@ const std::vector<Scenario>& starter_corpus() {
       Scenario sc;
       sc.name = name;
       sc.kind = kind;
-      sc.params = defaults_for(kind);
+      sc.params = find_kind(kind)->defaults;
       corpus.push_back(std::move(sc));
       return corpus.back();
     };

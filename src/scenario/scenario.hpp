@@ -37,7 +37,9 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// Hard ceiling on horizons, inline step counts and pause/phase lengths —
 /// the trace importers' limit, for the same reason: a wall-clock timestamp
-/// pasted into "horizon" must fail loudly, not allocate terabytes.
+/// pasted into "horizon" must fail loudly, not allocate terabytes. It also
+/// caps the requests a generator may build: horizon × requests_per_step
+/// (or × r_max) above it is rejected.
 inline constexpr std::size_t kMaxRounds = std::size_t{1} << 22;
 
 /// Thrown on malformed scenario files. The message carries the file (or
@@ -58,11 +60,12 @@ struct FleetSpec {
 };
 
 /// Kind-specific generator parameters: the superset of every generator's
-/// knobs, with the slice a kind reads defined by its parameter allowlist
-/// (see scenario.cpp). parse() fills kind-appropriate defaults (the
-/// adversary structs' own defaults, corpus values for the mobility extras)
-/// before applying the file's overrides, so to_json(parse(x)) pins every
-/// parameter explicitly.
+/// knobs, with the slice a kind reads defined by its key list in
+/// scenario.cpp's knob table. Fields are named like the generator structs'
+/// own, which is how the table copies them. parse() fills kind-appropriate
+/// defaults (the generator structs' own defaults, corpus values for the
+/// mobility extras) before applying the file's overrides, so
+/// to_json(parse(x)) pins every parameter explicitly.
 struct ScenarioParams {
   std::size_t horizon = 0;
   double move_cost_weight = 1.0;  ///< JSON key "d"

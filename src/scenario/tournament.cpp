@@ -10,6 +10,7 @@
 #include "core/session_multiplexer.hpp"
 #include "ext/multi_server.hpp"
 #include "stats/rng.hpp"
+#include "trace/batch_runner.hpp"
 
 namespace mobsrv::scenario {
 
@@ -35,14 +36,6 @@ std::vector<std::string> roster_for(const Scenario& sc, const std::vector<std::s
     if (std::find(fleet_native.begin(), fleet_native.end(), algorithm) != fleet_native.end())
       allowed.push_back(algorithm);
   return allowed;
-}
-
-/// cost / best with the trace::batch_runner conventions: the best row
-/// reports exactly 1; a free best run makes every costly run report 0
-/// (ratio undefined) and every other free run report 1.
-double ratio_vs(double cost, double best) {
-  if (best > 0.0) return cost / best;
-  return cost == 0.0 ? 1.0 : 0.0;
 }
 
 }  // namespace
@@ -174,7 +167,7 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
         best = std::min(best, result.cells[i].total_cost);
       for (std::size_t i = group_begin; i < group_end; ++i) {
         TournamentCell& played = result.cells[i];
-        played.ratio_vs_best = ratio_vs(played.total_cost, best);
+        played.ratio_vs_best = trace::ratio_vs_best(played.total_cost, best);
         LeaderboardRow& row = rows[roster_index(played.algorithm)];
         row.scenarios += 1;
         row.total_cost += played.total_cost;

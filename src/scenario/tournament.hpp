@@ -48,8 +48,8 @@ struct TournamentCell {
   double total_cost = 0.0;
   double move_cost = 0.0;
   double service_cost = 0.0;
-  /// cost / best cost on this scenario (best = 1; 0 when the best run was
-  /// free and this one was not) — the batch_runner convention.
+  /// trace::ratio_vs_best of this cost against the scenario's best (best =
+  /// 1; 0 when the best run was free and this one was not).
   double ratio_vs_best = 0.0;
   /// cost / adversary cost when the scenario carries an adversary solution,
   /// else 0.

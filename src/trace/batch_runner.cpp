@@ -13,6 +13,11 @@
 
 namespace mobsrv::trace {
 
+double ratio_vs_best(double cost, double best) {
+  if (best > 0.0) return cost / best;
+  return cost == 0.0 ? 1.0 : 0.0;
+}
+
 std::vector<std::filesystem::path> list_trace_files(const std::filesystem::path& dir) {
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec))
@@ -99,13 +104,7 @@ BatchResult run_batch(par::ThreadPool& pool, const std::vector<std::filesystem::
       entry.scenario = traces[i]->meta.name;
       entry.algorithm = algorithms[a];
       entry.cost = costs[a];
-      // best == 0 admits no finite ratio for a nonzero cost; record 0
-      // ("unavailable", same convention as ratio_vs_adversary) rather than
-      // silently calling an expensive algorithm tied-for-best.
-      if (best > 0.0)
-        entry.ratio_vs_best = costs[a] / best;
-      else
-        entry.ratio_vs_best = costs[a] == 0.0 ? 1.0 : 0.0;
+      entry.ratio_vs_best = ratio_vs_best(costs[a], best);
       entry.ratio_vs_adversary = adversary_cost > 0.0 ? costs[a] / adversary_cost : 0.0;
 
       BatchAlgoSummary& summary = result.summaries[a];

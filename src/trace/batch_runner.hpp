@@ -63,6 +63,12 @@ struct BatchResult {
   double wall_seconds = 0.0;
 };
 
+/// cost / best, the ratio convention of every corpus runner: the best run
+/// reports exactly 1. A free best run admits no finite ratio for a costly
+/// run, which reports 0 ("unavailable") rather than being silently called
+/// tied-for-best; every other free run reports 1.
+[[nodiscard]] double ratio_vs_best(double cost, double best);
+
 /// All trace files (*.jsonl, *.mtb) directly inside \p dir, sorted by name.
 /// Throws TraceError when the directory is missing or holds no traces.
 [[nodiscard]] std::vector<std::filesystem::path> list_trace_files(

@@ -44,6 +44,13 @@ class BatchRunnerTest : public ::testing::Test {
   fs::path dir_;
 };
 
+TEST(RatioVsBest, BestIsOneAndAFreeBestLeavesCostlyRunsUnavailable) {
+  EXPECT_DOUBLE_EQ(ratio_vs_best(6.0, 4.0), 1.5);
+  EXPECT_DOUBLE_EQ(ratio_vs_best(4.0, 4.0), 1.0);
+  EXPECT_DOUBLE_EQ(ratio_vs_best(0.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(ratio_vs_best(3.0, 0.0), 0.0);
+}
+
 TEST_F(BatchRunnerTest, ListTraceFilesFindsBothCodecsSorted) {
   write_small_corpus(4);
   const std::vector<fs::path> files = list_trace_files(dir_);

@@ -7,6 +7,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 #include "trace/trace.hpp"
@@ -165,6 +168,35 @@ TEST(ScenarioParse, OutOfRangeValuesFail) {
   expect_rejected(R"({"v": 1, "name": "x", "kind": "theorem8-moving-client",
                       "params": {"epsilon": 0}})",
                   "\"epsilon\" must be > 0");
+}
+
+TEST(ScenarioParse, RequestTotalIsCappedForEveryBatchedKind) {
+  // Each count is capped on its own, but a generator builds horizon × batch
+  // size requests: that product is capped too, before anything is built.
+  const std::vector<std::pair<std::string, std::string>> batched = {
+      {"theorem1", "requests_per_step"}, {"theorem2", "r_max"},
+      {"theorem3", "requests_per_step"}, {"drifting-hotspot", "r_max"},
+      {"bursts", "r_max"},               {"commute", "requests_per_step"},
+      {"uniform-noise", "requests_per_step"},
+  };
+  for (const auto& [kind, key] : batched) {
+    SCOPED_TRACE(kind);
+    const auto doc = [&](std::size_t batch) {
+      return R"({"v": 1, "name": "big", "kind": ")" + kind + R"(", "params": {"horizon": 1024, ")" +
+             key + "\": " + std::to_string(batch) + "}}";
+    };
+    EXPECT_EQ(parse_text(doc(4096)).params.horizon, 1024u);  // exactly kMaxRounds requests
+    expect_rejected(doc(4097), "scenario \"big\": \"horizon\" 1024 times \"" + key +
+                                   "\" 4097 asks for more than 4194304 requests");
+  }
+  // The two shapes that used to parse: 2^44 uniform-noise requests, and a
+  // hotspot whose every batch holds 2^22 requests.
+  expect_rejected(R"({"v": 1, "name": "big", "kind": "uniform-noise",
+                      "params": {"horizon": 4194304, "requests_per_step": 4194304}})",
+                  "asks for more than 4194304 requests");
+  expect_rejected(R"({"v": 1, "name": "big", "kind": "drifting-hotspot",
+                      "params": {"r_min": 4194304, "r_max": 4194304}})",
+                  "asks for more than 4194304 requests");
 }
 
 TEST(ScenarioParse, NonFiniteNumbersFail) {
