@@ -187,6 +187,15 @@ TEST(ScenarioCorpus, CommittedCsvDataRoundTrips) {
 
 fs::path golden_path() { return fs::path(MOBSRV_GOLDEN_DIR) / "scenario_params.golden"; }
 
+/// FNV-1a digest of \p file in the binary codec, as 16 hex digits.
+std::string trace_digest(const trace::TraceFile& file) {
+  const std::string bytes = trace::encode_trace(file, trace::Codec::kBinary);
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(stats::hash_name(bytes)));
+  return digest;
+}
+
 io::Json golden_record(const std::string& doc) {
   io::Json record = io::Json::object();
   record.set("doc", io::Json(doc));
@@ -199,12 +208,7 @@ io::Json golden_record(const std::string& doc) {
   }
   record.set("canonical", io::Json(canonical_text(sc)));
   try {
-    const std::string bytes =
-        trace::encode_trace(materialize(sc, corpus_dir()), trace::Codec::kBinary);
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(stats::hash_name(bytes)));
-    record.set("trace_fnv1a", io::Json(std::string(digest)));
+    record.set("trace_fnv1a", io::Json(trace_digest(materialize(sc, corpus_dir()))));
   } catch (const ContractViolation&) {
     record.set("materialize", io::Json("ContractViolation"));
   }
@@ -365,6 +369,53 @@ TEST(ScenarioGolden, ParamsLayerMatchesRecordedOutput) {
   }
   EXPECT_EQ(mismatches, 0u) << "of " << records << " records";
   EXPECT_GE(records, 800u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden of the compiled corpus. tests/golden/corpus_traces.golden holds one
+// JSON record per (scenario, seed, scale): the horizon make_corpus_trace
+// chose and an FNV-1a digest of the trace in the binary codec. It pins every
+// corpus generator's pinned parameters, its horizon scaling (16-step floor
+// included) and its RNG keying. Regenerate only when a change in behaviour
+// is intended:
+//   MOBSRV_WRITE_CORPUS_GOLDEN=1 ./test_scenario_corpus --gtest_filter='ScenarioGolden.*'
+
+io::Json corpus_record(const std::string& name, std::uint64_t seed, double scale) {
+  const trace::TraceFile file = trace::make_corpus_trace(name, seed, scale);
+  io::Json record = io::Json::object();
+  record.set("name", io::Json(name));
+  record.set("seed", io::Json(seed));
+  record.set("scale", io::Json(scale));
+  record.set("horizon", io::Json(file.instance.horizon()));
+  record.set("trace_fnv1a", io::Json(trace_digest(file)));
+  return record;
+}
+
+TEST(ScenarioGolden, CompiledCorpusMatchesRecordedTraces) {
+  const fs::path path = fs::path(MOBSRV_GOLDEN_DIR) / "corpus_traces.golden";
+  if (std::getenv("MOBSRV_WRITE_CORPUS_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    for (const trace::CorpusScenario& scenario : trace::corpus_scenarios())
+      for (const std::uint64_t seed : {0, 3, 7, 11})
+        for (const double scale : {0.01, 0.05, 0.1, 1.0})
+          out << corpus_record(scenario.name, seed, scale).dump() << '\n';
+    GTEST_SKIP() << "wrote " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  std::set<std::string> names;
+  std::size_t records = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    ++records;
+    const io::Json want = io::Json::parse(line);
+    const std::string name = want.at("name").as_string();
+    names.insert(name);
+    EXPECT_EQ(corpus_record(name, want.at("seed").as_uint64(), want.at("scale").as_double()).dump(),
+              line);
+  }
+  EXPECT_EQ(records, 12u * 4u * 4u);
+  EXPECT_EQ(names.size(), 12u);
 }
 
 }  // namespace
