@@ -13,6 +13,7 @@
 #include "adversary/mobility.hpp"
 #include "adversary/moving_client_lb.hpp"
 #include "adversary/workloads.hpp"
+#include "common/contracts.hpp"
 #include "stats/rng.hpp"
 #include "trace/corpus.hpp"
 
@@ -180,7 +181,7 @@ enum class Rule {
   X(dim, "dim", kDim)                                        \
   X(requests_per_step, "requests_per_step", kBatchSize)      \
   X(x, "x", kCount0)                                         \
-  X(delta, "delta", kPositive)                               \
+  X(delta, "delta", kFraction)                               \
   X(r_min, "r_min", kCount1)                                 \
   X(r_max, "r_max", kBatchSize)                              \
   X(server_speed, "server_speed", kPositive)                 \
@@ -308,6 +309,14 @@ const std::vector<Kind>& kinds() {
   return kKinds;
 }
 
+/// The shortest horizon each lower-bound construction can build (its
+/// generator's own contract).
+std::size_t min_horizon(const std::string& kind) {
+  if (kind == "theorem8-moving-client") return 16;
+  if (kind == "theorem1" || kind == "theorem2") return 4;
+  return kind == "theorem3" ? 2 : 0;
+}
+
 const Kind* find_kind(const std::string& name) {
   for (const Kind& kind : kinds())
     if (kind.name == name) return &kind;
@@ -410,6 +419,9 @@ ScenarioParams parse_params(const Kind& kind, const Json& obj, const std::string
     if (knob->key == std::string_view("r_max") && p.r_max < p.r_min)
       fail(ctx, "\"r_max\" must be >= \"r_min\"");
   }
+  if (const std::size_t floor = min_horizon(kind.name); p.horizon < floor)
+    fail(ctx, "\"horizon\" must be >= " + std::to_string(floor) + " for kind \"" + kind.name +
+                  "\"");
   // A generator builds up to horizon × batch size requests; one file must
   // not be able to ask for more than a trace may hold rounds.
   for (const Knob* knob : kind.knobs) {
@@ -435,17 +447,6 @@ trace::TraceFile from_moving_client(trace::TraceMeta meta, sim::MovingClientInst
   trace::TraceFile file(std::move(meta), sim::to_instance(mc));
   file.moving_client = std::move(mc);
   return file;
-}
-
-sim::MovingClientInstance single_agent(sim::Point start, double server_speed, double agent_speed,
-                                       double d_weight, sim::AgentPath path) {
-  sim::MovingClientInstance mc;
-  mc.start = std::move(start);
-  mc.server_speed = server_speed;
-  mc.agent_speed = agent_speed;
-  mc.move_cost_weight = d_weight;
-  mc.agents.push_back(std::move(path));
-  return mc;
 }
 
 std::filesystem::path resolve_path(const std::filesystem::path& base_dir,
@@ -669,9 +670,8 @@ std::string canonical_text(const Scenario& sc) {
 
 trace::TraceFile materialize(const Scenario& sc, const std::filesystem::path& base_dir) {
   const ScenarioParams& p = sc.params;
-  // Keyed exactly like trace::make_corpus_trace ("corpus", name, seed): a
-  // scenario file that names a corpus scenario and pins its parameters
-  // materialises the compiled-in instance bit for bit (parity-tested).
+  // Keyed by ("corpus", name, seed): a scenario file that names a corpus
+  // scenario and pins its parameters materialises the corpus trace.
   stats::Rng rng({stats::hash_name("corpus"), stats::hash_name(sc.name), sc.seed});
   trace::TraceMeta meta{sc.name, "scenario", sc.seed};
 
@@ -729,8 +729,13 @@ trace::TraceFile materialize(const Scenario& sc, const std::filesystem::path& ba
   // The mobility kinds drive one agent from the origin.
   const sim::Point origin = sim::Point::zero(p.dim);
   const auto one_agent = [&](sim::AgentPath path) {
-    return from_moving_client(std::move(meta), single_agent(origin, p.server_speed, p.speed,
-                                                            p.move_cost_weight, std::move(path)));
+    sim::MovingClientInstance mc;
+    mc.start = origin;
+    mc.server_speed = p.server_speed;
+    mc.agent_speed = p.speed;
+    mc.move_cost_weight = p.move_cost_weight;
+    mc.agents.push_back(std::move(path));
+    return from_moving_client(std::move(meta), std::move(mc));
   };
   if (sc.kind == "random-waypoint")
     return one_agent(
@@ -768,9 +773,8 @@ const std::vector<Scenario>& starter_corpus() {
       return corpus.back();
     };
 
-    // The 12 compiled-in corpus scenarios with their corpus-pinned
-    // parameters (make_corpus_trace at scale 1) — the generator-parity
-    // suite materialises these against the C++ corpus bit for bit.
+    // The 12 corpus scenarios with their pinned parameters: the compiled
+    // corpus is these, materialised (make_corpus_trace at scale 1).
     add("theorem1", "theorem1").params.horizon = 1024;
     {
       Scenario& sc = add("theorem2", "theorem2");
@@ -830,6 +834,58 @@ const std::vector<Scenario>& starter_corpus() {
     return corpus;
   }();
   return kCorpus;
+}
+
+const std::vector<CorpusScenario>& corpus_scenarios() {
+  static const std::vector<CorpusScenario> kScenarios = {
+      {"theorem1", "Theorem 1 adversary: Ω(√T/D) lower bound, no augmentation (1-D)"},
+      {"theorem2", "Theorem 2 adversary: Ω((1/δ)·Rmax/Rmin) with augmentation (1-D)"},
+      {"theorem3", "Theorem 3 adversary: Answer-First Ω(r/D) two-step cycler (1-D)"},
+      {"theorem8-moving-client", "Theorem 8 Moving Client adversary: Ω(√T·ε/(1+ε)) (1-D)"},
+      {"drifting-hotspot", "demand hotspot on a bounded random walk, Gaussian requests (2-D)"},
+      {"drifting-hotspot-1d", "the same drifting hotspot on the line"},
+      {"commute", "day/night demand alternating between two distant sites (2-D)"},
+      {"bursts", "bursty volumes on a slowly drifting hotspot (2-D)"},
+      {"uniform-noise", "structureless uniform demand in a fixed box (2-D)"},
+      {"random-waypoint", "Moving Client with a Random-Waypoint agent (2-D)"},
+      {"gauss-markov", "Moving Client with a Gauss–Markov agent (2-D)"},
+      {"zigzag", "Moving Client with a deterministic zig-zag agent (1-D)"},
+  };
+  return kScenarios;
+}
+
+trace::TraceFile make_corpus_trace(const std::string& name, std::uint64_t seed, double scale) {
+  // The starter corpus opens with the corpus scenarios, in the same order.
+  const std::vector<CorpusScenario>& names = corpus_scenarios();
+  const auto known = std::find_if(names.begin(), names.end(),
+                                  [&name](const CorpusScenario& s) { return s.name == name; });
+  if (known == names.end()) throw ContractViolation("unknown corpus scenario: " + name);
+  Scenario sc = starter_corpus()[static_cast<std::size_t>(known - names.begin())];
+  const double horizon = static_cast<double>(sc.params.horizon) * scale;
+  // Guard the double→size_t cast: casting a value ≥ 2^64 (or NaN) is UB,
+  // and anything near it is an absurd horizon anyway.
+  MOBSRV_CHECK_MSG(scale > 0.0 && horizon < 1e9,
+                   "corpus scale out of range (horizon would exceed 1e9)");
+  sc.params.horizon = std::max<std::size_t>(16, static_cast<std::size_t>(horizon));
+  sc.seed = seed;
+  trace::TraceFile file = materialize(sc);
+  file.meta.source = "corpus";
+  return file;
+}
+
+std::vector<std::filesystem::path> write_corpus(trace::Recorder& recorder, std::uint64_t seed,
+                                                double scale,
+                                                const std::vector<std::string>& algorithms,
+                                                double speed_factor) {
+  std::vector<std::filesystem::path> paths;
+  paths.reserve(corpus_scenarios().size());
+  for (const CorpusScenario& scenario : corpus_scenarios()) {
+    trace::TraceFile file = make_corpus_trace(scenario.name, seed, scale);
+    for (const std::string& algorithm : algorithms)
+      file.runs.push_back(trace::record_run(file.instance, algorithm, seed, speed_factor));
+    paths.push_back(recorder.write(file));
+  }
+  return paths;
 }
 
 }  // namespace mobsrv::scenario

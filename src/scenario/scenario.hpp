@@ -11,11 +11,9 @@
 /// The format is strict in the serve/frames tradition: unknown members,
 /// wrong types and out-of-range values fail loudly with the file and
 /// scenario name attached — a typo'd "hroizon" must never silently run the
-/// default workload. Materialisation is bit-identical to the compiled-in
-/// corpus: a scenario file named after a corpus scenario with matching
-/// parameters produces exactly the `sim::Instance` that
-/// `trace::make_corpus_trace` builds (the RNG stream is keyed by scenario
-/// *name*, like the corpus — parity-tested per generator).
+/// default workload. The compiled corpus is the starter corpus's 12
+/// generator scenarios, materialised (make_corpus_trace; the RNG stream is
+/// keyed by scenario *name*, and tests/golden/corpus_traces.golden pins it).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +26,7 @@
 
 #include "io/json.hpp"
 #include "sim/model.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace mobsrv::scenario {
@@ -137,10 +136,10 @@ struct Scenario {
 /// in tests, so regeneration is always possible from code.
 [[nodiscard]] std::string canonical_text(const Scenario& sc);
 
-/// Builds the scenario's workload: generator kinds drive the same seeded
-/// constructions as trace::make_corpus_trace (bit-identical instances for
-/// matching name/parameters/seed); importer kinds read their CSV relative
-/// to \p base_dir. The result carries meta {name, "scenario", seed} plus
+/// Builds the scenario's workload: generator kinds drive the seeded
+/// constructions in src/adversary/, with the RNG stream keyed by
+/// ("corpus", name, seed); importer kinds read their CSV relative to
+/// \p base_dir. The result carries meta {name, "scenario", seed} plus
 /// the adversary solution / moving-client provenance where the generator
 /// provides one.
 [[nodiscard]] trace::TraceFile materialize(const Scenario& sc,
@@ -151,10 +150,34 @@ struct Scenario {
 [[nodiscard]] std::vector<std::filesystem::path> list_scenario_files(
     const std::filesystem::path& dir);
 
-/// The committed starter corpus (scenarios/ in the repo): scenario-file
-/// equivalents of all 12 compiled-in corpus generators (corpus-pinned
-/// parameters), importer examples (inline + CSV demand, CSV waypoints) and
-/// a fleet scenario. scenarios/<name>.json holds canonical_text() of each.
+/// The committed starter corpus (scenarios/ in the repo): the 12 corpus
+/// generator scenarios with their pinned parameters, importer examples
+/// (inline + CSV demand, CSV waypoints) and a fleet scenario.
+/// scenarios/<name>.json holds canonical_text() of each.
 [[nodiscard]] const std::vector<Scenario>& starter_corpus();
+
+struct CorpusScenario {
+  std::string name;
+  std::string description;
+};
+
+/// The compiled corpus: the starter corpus's 12 generator scenarios, in its
+/// order (lower-bound theorems, Moving Client theorem, realistic workloads,
+/// mobility models), with the descriptions `mobsrv_trace list` prints.
+[[nodiscard]] const std::vector<CorpusScenario>& corpus_scenarios();
+
+/// The starter corpus entry \p name with its horizon scaled by \p scale
+/// (minimum 16 steps) and its seed set, materialised with meta
+/// {name, "corpus", seed}. Throws ContractViolation for unknown names.
+[[nodiscard]] trace::TraceFile make_corpus_trace(const std::string& name, std::uint64_t seed,
+                                                 double scale = 1.0);
+
+/// Writes every corpus scenario through the recorder; returns the paths
+/// written. Each file also carries runs of \p algorithms recorded at
+/// \p speed_factor (seeded with \p seed).
+std::vector<std::filesystem::path> write_corpus(trace::Recorder& recorder, std::uint64_t seed,
+                                                double scale = 1.0,
+                                                const std::vector<std::string>& algorithms = {},
+                                                double speed_factor = 1.5);
 
 }  // namespace mobsrv::scenario

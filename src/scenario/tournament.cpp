@@ -7,7 +7,6 @@
 
 #include "algorithms/registry.hpp"
 #include "common/contracts.hpp"
-#include "core/session_multiplexer.hpp"
 #include "ext/multi_server.hpp"
 #include "stats/rng.hpp"
 #include "trace/batch_runner.hpp"
@@ -16,8 +15,7 @@ namespace mobsrv::scenario {
 
 namespace {
 
-/// Classic Elo update constants: everyone starts at 1000, K = 32.
-constexpr double kInitialElo = 1000.0;
+/// Classic Elo update constant (everyone starts at LeaderboardRow's 1000).
 constexpr double kEloK = 32.0;
 
 struct LoadedScenario {
@@ -78,7 +76,6 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
   result.algorithms = roster;
 
   // Ratings and per-algorithm accumulators, indexed by roster position.
-  std::vector<double> elo(roster.size(), kInitialElo);
   std::vector<LeaderboardRow> rows(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i) rows[i].algorithm = roster[i];
   const auto roster_index = [&roster](const std::string& algorithm) {
@@ -90,17 +87,10 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
   for (std::size_t begin = 0; begin < loaded.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, loaded.size());
 
-    struct PendingCell {
-      std::size_t session = 0;
-      std::string scenario;
-      std::string algorithm;
-      std::size_t fleet_size = 1;
-      double adversary_cost = 0.0;
-      bool last_of_scenario = false;
-    };
-    std::vector<PendingCell> pending;
-    core::SessionMultiplexer mux(pool);
-
+    // Cells are appended to result.cells in submission order (scenario-major,
+    // roster order within); run_cells fills in their costs and ratios.
+    std::vector<trace::CellGroup> groups;
+    const std::size_t chunk_begin = result.cells.size();
     for (std::size_t s = begin; s < end; ++s) {
       const Scenario& sc = loaded[s].scenario;
       const std::vector<std::string> players = roster_for(sc, roster, fleet_native);
@@ -111,16 +101,17 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
       result.scenarios.push_back(sc.name);
 
       trace::TraceFile file = materialize(sc, loaded[s].base_dir);
-      const double adversary_cost = file.adversary ? file.adversary->cost : 0.0;
-      const auto workload = std::make_shared<const sim::Instance>(std::move(file.instance));
+      trace::CellGroup& group = groups.emplace_back();
+      group.adversary_cost = file.adversary ? file.adversary->cost : 0.0;
+      group.workload = std::make_shared<const sim::Instance>(std::move(file.instance));
       const std::size_t fleet_size = sc.fleet ? sc.fleet->size : 1;
       std::vector<sim::Point> starts;
       if (fleet_size > 1)
-        starts = ext::spread_starts(*workload, static_cast<int>(fleet_size), sc.fleet->spread);
+        starts = ext::spread_starts(*group.workload, static_cast<int>(fleet_size),
+                                    sc.fleet->spread);
 
       for (const std::string& algorithm : players) {
         core::SessionSpec spec;
-        spec.workload = workload;
         spec.algorithm = algorithm;
         // --seed steers every algorithm's coin flips without touching the
         // workloads (those are pinned by each file's own "seed" member).
@@ -131,48 +122,32 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
         spec.tenant = sc.name;
         spec.fleet_size = fleet_size;
         spec.starts = starts;
-        PendingCell cell;
-        cell.session = mux.add(std::move(spec));
+        group.cells.push_back(std::move(spec));
+        TournamentCell& cell = result.cells.emplace_back();
         cell.scenario = sc.name;
         cell.algorithm = algorithm;
         cell.fleet_size = fleet_size;
-        cell.adversary_cost = adversary_cost;
-        cell.last_of_scenario = algorithm == players.back();
-        pending.push_back(std::move(cell));
       }
     }
 
-    mux.drain();
+    std::size_t next = chunk_begin;
+    for (const trace::CellResult& played : trace::run_cells(pool, groups)) {
+      TournamentCell& cell = result.cells[next++];
+      cell.total_cost = played.total_cost;
+      cell.move_cost = played.move_cost;
+      cell.service_cost = played.service_cost;
+      cell.ratio_vs_best = played.ratio_vs_best;
+      cell.ratio_vs_adversary = played.ratio_vs_adversary;
+      LeaderboardRow& row = rows[roster_index(cell.algorithm)];
+      row.scenarios += 1;
+      row.total_cost += cell.total_cost;
+      if (cell.ratio_vs_best > 0.0) row.ratio_vs_best.add(cell.ratio_vs_best);
+    }
 
-    // Harvest chunk cells in submission order (scenario-major, roster order
-    // within), then close out each scenario group: ratios against the
-    // group's best cost, pairwise Elo in roster order.
-    std::size_t group_begin = result.cells.size();
-    for (const PendingCell& cell : pending) {
-      const core::SessionStats stats = mux.stats(cell.session);
-      TournamentCell out;
-      out.scenario = cell.scenario;
-      out.algorithm = cell.algorithm;
-      out.fleet_size = cell.fleet_size;
-      out.total_cost = stats.total_cost;
-      out.move_cost = stats.move_cost;
-      out.service_cost = stats.service_cost;
-      if (cell.adversary_cost > 0.0) out.ratio_vs_adversary = stats.total_cost / cell.adversary_cost;
-      result.cells.push_back(std::move(out));
-
-      if (!cell.last_of_scenario) continue;
-      const std::size_t group_end = result.cells.size();
-      double best = result.cells[group_begin].total_cost;
-      for (std::size_t i = group_begin; i < group_end; ++i)
-        best = std::min(best, result.cells[i].total_cost);
-      for (std::size_t i = group_begin; i < group_end; ++i) {
-        TournamentCell& played = result.cells[i];
-        played.ratio_vs_best = trace::ratio_vs_best(played.total_cost, best);
-        LeaderboardRow& row = rows[roster_index(played.algorithm)];
-        row.scenarios += 1;
-        row.total_cost += played.total_cost;
-        if (played.ratio_vs_best > 0.0) row.ratio_vs_best.add(played.ratio_vs_best);
-      }
+    // Pairwise Elo within each scenario group, in roster order.
+    std::size_t group_begin = chunk_begin;
+    for (const trace::CellGroup& group : groups) {
+      const std::size_t group_end = group_begin + group.cells.size();
       for (std::size_t i = group_begin; i < group_end; ++i) {
         for (std::size_t j = i + 1; j < group_end; ++j) {
           const std::size_t a = roster_index(result.cells[i].algorithm);
@@ -190,17 +165,17 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
             rows[a].draws += 1;
             rows[b].draws += 1;
           }
-          const double expected_a = 1.0 / (1.0 + std::pow(10.0, (elo[b] - elo[a]) / 400.0));
+          const double expected_a =
+              1.0 / (1.0 + std::pow(10.0, (rows[b].elo - rows[a].elo) / 400.0));
           const double delta = kEloK * (score_a - expected_a);
-          elo[a] += delta;  // zero-sum by construction
-          elo[b] -= delta;
+          rows[a].elo += delta;  // zero-sum by construction
+          rows[b].elo -= delta;
         }
       }
       group_begin = group_end;
     }
   }
 
-  for (std::size_t i = 0; i < roster.size(); ++i) rows[i].elo = elo[i];
   result.leaderboard = std::move(rows);
   std::stable_sort(result.leaderboard.begin(), result.leaderboard.end(),
                    [](const LeaderboardRow& a, const LeaderboardRow& b) { return a.elo > b.elo; });

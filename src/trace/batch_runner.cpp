@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "algorithms/registry.hpp"
-#include "core/session_multiplexer.hpp"
 #include "io/table.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -34,6 +33,33 @@ std::vector<std::filesystem::path> list_trace_files(const std::filesystem::path&
   return files;
 }
 
+std::vector<CellResult> run_cells(par::ThreadPool& pool, const std::vector<CellGroup>& groups) {
+  // Grain 1: each cell drains a whole workload in one task, and small
+  // corpora must still spread across the pool.
+  core::SessionMultiplexer mux(pool, /*grain=*/1);
+  for (const CellGroup& group : groups)
+    for (core::SessionSpec spec : group.cells) {
+      spec.workload = group.workload;
+      mux.add(std::move(spec));
+    }
+  mux.drain();
+
+  std::vector<CellResult> results;
+  for (const CellGroup& group : groups) {
+    const std::size_t first = results.size();
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < group.cells.size(); ++c) {
+      const core::SessionStats s = mux.stats(results.size());
+      results.push_back({s.total_cost, s.move_cost, s.service_cost, 0.0,
+                         group.adversary_cost > 0.0 ? s.total_cost / group.adversary_cost : 0.0});
+      best = std::min(best, s.total_cost);
+    }
+    for (std::size_t i = first; i < results.size(); ++i)
+      results[i].ratio_vs_best = ratio_vs_best(results[i].total_cost, best);
+  }
+  return results;
+}
+
 BatchResult run_batch(par::ThreadPool& pool, const std::vector<std::filesystem::path>& files,
                       const BatchOptions& options) {
   MOBSRV_CHECK_MSG(!files.empty(), "batch replay needs at least one trace file");
@@ -48,30 +74,25 @@ BatchResult run_batch(par::ThreadPool& pool, const std::vector<std::filesystem::
   par::parallel_for(pool, 0, files.size(), 1,
                     [&](std::size_t i) { traces[i].emplace(read_trace(files[i])); });
 
-  // Phase 2 — run: one live session per (file, algorithm), all advanced by
-  // the session multiplexer. Each file's workload (flat SoA store) is shared
-  // read-only across its k algorithm sessions, and sharding happens at
-  // session granularity — finer than the old file-level sharding, so a
-  // corpus with one huge trace no longer serialises on a single worker.
-  // Grain 1: sessions are whole-workload units of work, and small corpora
-  // must still spread across the pool.
-  core::SessionMultiplexer mux(pool, /*grain=*/1);
+  // Phase 2 — run: one cell per (file, algorithm). Each file's workload is
+  // shared read-only across its algorithm sessions, and sharding happens at
+  // session granularity, so one huge trace does not serialise a worker.
+  std::vector<CellGroup> groups(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
-    // Non-owning share: `traces` outlives the multiplexer (both are local,
-    // mux is declared after and destroyed first), so no instance copy.
-    const std::shared_ptr<const sim::Instance> workload(std::shared_ptr<void>(),
-                                                        &traces[i]->instance);
+    // Non-owning share: `traces` outlives run_cells, so no instance copy.
+    groups[i].workload =
+        std::shared_ptr<const sim::Instance>(std::shared_ptr<void>(), &traces[i]->instance);
+    groups[i].adversary_cost = traces[i]->adversary ? traces[i]->adversary->cost : 0.0;
     for (const std::string& name : algorithms) {
       core::SessionSpec spec;
-      spec.workload = workload;
       spec.algorithm = name;
       spec.algo_seed = options.algo_seed;
       spec.speed_factor = options.speed_factor;
       spec.tenant = files[i].filename().string();
-      mux.add(std::move(spec));
+      groups[i].cells.push_back(std::move(spec));
     }
   }
-  mux.drain();
+  const std::vector<CellResult> cells = run_cells(pool, groups);
 
   // Phase 3 — verify recorded runs bit-identically (per file, in parallel).
   std::vector<std::pair<std::size_t, std::size_t>> checks(files.size(), {0, 0});
@@ -91,21 +112,15 @@ BatchResult run_batch(par::ThreadPool& pool, const std::vector<std::filesystem::
     result.summaries[a].algorithm = algorithms[a];
 
   for (std::size_t i = 0; i < files.size(); ++i) {
-    std::vector<double> costs(algorithms.size());
-    for (std::size_t a = 0; a < algorithms.size(); ++a)
-      costs[a] = mux.stats(i * algorithms.size() + a).total_cost;
-    const double adversary_cost = traces[i]->adversary ? traces[i]->adversary->cost : 0.0;
-
-    double best = std::numeric_limits<double>::infinity();
-    for (const double c : costs) best = std::min(best, c);
+    const CellResult* row = &cells[i * algorithms.size()];
     for (std::size_t a = 0; a < algorithms.size(); ++a) {
       BatchEntry entry;
       entry.file = files[i].filename().string();
       entry.scenario = traces[i]->meta.name;
       entry.algorithm = algorithms[a];
-      entry.cost = costs[a];
-      entry.ratio_vs_best = ratio_vs_best(costs[a], best);
-      entry.ratio_vs_adversary = adversary_cost > 0.0 ? costs[a] / adversary_cost : 0.0;
+      entry.cost = row[a].total_cost;
+      entry.ratio_vs_best = row[a].ratio_vs_best;
+      entry.ratio_vs_adversary = row[a].ratio_vs_adversary;
 
       BatchAlgoSummary& summary = result.summaries[a];
       summary.cost.add(entry.cost);
@@ -113,8 +128,8 @@ BatchResult run_batch(par::ThreadPool& pool, const std::vector<std::filesystem::
       if (entry.ratio_vs_adversary > 0.0)
         summary.ratio_vs_adversary.add(entry.ratio_vs_adversary);
       bool strictly_best = true;
-      for (std::size_t b = 0; b < costs.size(); ++b)
-        if (b != a && costs[b] <= costs[a]) strictly_best = false;
+      for (std::size_t b = 0; b < algorithms.size(); ++b)
+        if (b != a && row[b].total_cost <= row[a].total_cost) strictly_best = false;
       if (strictly_best) ++summary.wins;
 
       result.entries.push_back(std::move(entry));

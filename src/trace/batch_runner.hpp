@@ -1,9 +1,9 @@
 /// \file batch_runner.hpp
-/// Sharded replay of a trace corpus across a ThreadPool.
+/// The corpus cell runner (run_cells, shared by batch replay and the
+/// scenario tournament) and sharded replay of a trace corpus on it.
 ///
-/// Given a directory (or explicit list) of trace files, the runner shards
-/// whole files across workers — one task per file, since files are
-/// independent and dominate I/O — runs every requested algorithm on each
+/// Given a directory (or explicit list) of trace files, run_batch decodes
+/// whole files across the pool, runs every requested algorithm on each
 /// workload, verifies any recorded runs bit-identically, and aggregates
 /// per-algorithm cost/ratio summaries. Results are deterministic and
 /// independent of thread count: every entry is computed into its own slot
@@ -11,9 +11,11 @@
 #pragma once
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/session_multiplexer.hpp"
 #include "io/json.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/summary.hpp"
@@ -68,6 +70,29 @@ struct BatchResult {
 /// run, which reports 0 ("unavailable") rather than being silently called
 /// tied-for-best; every other free run reports 1.
 [[nodiscard]] double ratio_vs_best(double cost, double best);
+
+/// One workload of a corpus run and the cells that play it.
+struct CellGroup {
+  std::shared_ptr<const sim::Instance> workload;
+  double adversary_cost = 0.0;  ///< 0 when the workload carries no adversary solution
+  /// One session per cell; run_cells gives each the group's workload.
+  std::vector<core::SessionSpec> cells;
+};
+
+/// One cell's outcome.
+struct CellResult {
+  double total_cost = 0.0;
+  double move_cost = 0.0;
+  double service_cost = 0.0;
+  double ratio_vs_best = 0.0;       ///< ratio_vs_best against the group's cheapest cell
+  double ratio_vs_adversary = 0.0;  ///< cost / adversary cost, else 0
+};
+
+/// Runs every cell of every group to completion through one session
+/// multiplexer on \p pool. Returns one result per cell in submission order
+/// (group-major), identical at any thread count.
+[[nodiscard]] std::vector<CellResult> run_cells(par::ThreadPool& pool,
+                                                const std::vector<CellGroup>& groups);
 
 /// All trace files (*.jsonl, *.mtb) directly inside \p dir, sorted by name.
 /// Throws TraceError when the directory is missing or holds no traces.

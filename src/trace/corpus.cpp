@@ -4,166 +4,7 @@
 #include <fstream>
 #include <map>
 
-#include "adversary/lower_bounds.hpp"
-#include "adversary/mobility.hpp"
-#include "adversary/moving_client_lb.hpp"
-#include "adversary/workloads.hpp"
-
 namespace mobsrv::trace {
-
-namespace {
-
-std::size_t scaled(std::size_t base, double scale) {
-  const double h = static_cast<double>(base) * scale;
-  // Guard the double→size_t cast: casting a value ≥ 2^64 (or NaN) is UB,
-  // and anything near it is an absurd horizon anyway.
-  MOBSRV_CHECK_MSG(scale > 0.0 && h < 1e9, "corpus scale out of range (horizon would exceed 1e9)");
-  const auto rounds = static_cast<std::size_t>(h);
-  return rounds < 16 ? 16 : rounds;
-}
-
-TraceFile from_adversarial(const std::string& name, std::uint64_t seed,
-                           adv::AdversarialInstance a) {
-  TraceFile file(TraceMeta{name, "corpus", seed}, std::move(a.instance));
-  file.adversary = AdversaryInfo{a.adversary_cost, std::move(a.adversary_positions)};
-  return file;
-}
-
-TraceFile from_moving_client(const std::string& name, std::uint64_t seed,
-                             sim::MovingClientInstance mc) {
-  TraceFile file(TraceMeta{name, "corpus", seed}, sim::to_instance(mc));
-  file.moving_client = std::move(mc);
-  return file;
-}
-
-sim::MovingClientInstance single_agent(sim::Point start, double agent_speed, double d_weight,
-                                       sim::AgentPath path) {
-  sim::MovingClientInstance mc;
-  mc.start = std::move(start);
-  mc.server_speed = 1.0;
-  mc.agent_speed = agent_speed;
-  mc.move_cost_weight = d_weight;
-  mc.agents.push_back(std::move(path));
-  return mc;
-}
-
-}  // namespace
-
-const std::vector<CorpusScenario>& corpus_scenarios() {
-  static const std::vector<CorpusScenario> kScenarios = {
-      {"theorem1", "Theorem 1 adversary: Ω(√T/D) lower bound, no augmentation (1-D)"},
-      {"theorem2", "Theorem 2 adversary: Ω((1/δ)·Rmax/Rmin) with augmentation (1-D)"},
-      {"theorem3", "Theorem 3 adversary: Answer-First Ω(r/D) two-step cycler (1-D)"},
-      {"theorem8-moving-client", "Theorem 8 Moving Client adversary: Ω(√T·ε/(1+ε)) (1-D)"},
-      {"drifting-hotspot", "demand hotspot on a bounded random walk, Gaussian requests (2-D)"},
-      {"drifting-hotspot-1d", "the same drifting hotspot on the line"},
-      {"commute", "day/night demand alternating between two distant sites (2-D)"},
-      {"bursts", "bursty volumes on a slowly drifting hotspot (2-D)"},
-      {"uniform-noise", "structureless uniform demand in a fixed box (2-D)"},
-      {"random-waypoint", "Moving Client with a Random-Waypoint agent (2-D)"},
-      {"gauss-markov", "Moving Client with a Gauss–Markov agent (2-D)"},
-      {"zigzag", "Moving Client with a deterministic zig-zag agent (1-D)"},
-  };
-  return kScenarios;
-}
-
-bool is_corpus_scenario(const std::string& name) {
-  for (const CorpusScenario& s : corpus_scenarios())
-    if (s.name == name) return true;
-  return false;
-}
-
-TraceFile make_corpus_trace(const std::string& name, std::uint64_t seed, double scale) {
-  stats::Rng rng({stats::hash_name("corpus"), stats::hash_name(name), seed});
-
-  if (name == "theorem1") {
-    adv::Theorem1Params p;
-    p.horizon = scaled(1024, scale);
-    return from_adversarial(name, seed, adv::make_theorem1(p, rng));
-  }
-  if (name == "theorem2") {
-    adv::Theorem2Params p;
-    p.horizon = scaled(2048, scale);
-    p.delta = 0.5;
-    p.r_max = 4;
-    return from_adversarial(name, seed, adv::make_theorem2(p, rng));
-  }
-  if (name == "theorem3") {
-    adv::Theorem3Params p;
-    p.horizon = scaled(1024, scale);
-    return from_adversarial(name, seed, adv::make_theorem3(p, rng));
-  }
-  if (name == "theorem8-moving-client") {
-    adv::Theorem8Params p;
-    p.horizon = scaled(1024, scale);
-    adv::MovingClientAdversarial a = adv::make_theorem8(p, rng);
-    TraceFile file = from_moving_client(name, seed, std::move(a.mc));
-    file.adversary = AdversaryInfo{a.adversary_cost, std::move(a.adversary_positions)};
-    return file;
-  }
-  if (name == "drifting-hotspot" || name == "drifting-hotspot-1d") {
-    adv::DriftingHotspotParams p;
-    p.horizon = scaled(512, scale);
-    p.dim = name == "drifting-hotspot-1d" ? 1 : 2;
-    return TraceFile(TraceMeta{name, "corpus", seed}, adv::make_drifting_hotspot(p, rng));
-  }
-  if (name == "commute") {
-    adv::CommuteParams p;
-    p.horizon = scaled(512, scale);
-    return TraceFile(TraceMeta{name, "corpus", seed}, adv::make_commute(p, rng));
-  }
-  if (name == "bursts") {
-    adv::BurstParams p;
-    p.horizon = scaled(512, scale);
-    return TraceFile(TraceMeta{name, "corpus", seed}, adv::make_bursts(p, rng));
-  }
-  if (name == "uniform-noise") {
-    adv::UniformNoiseParams p;
-    p.horizon = scaled(512, scale);
-    return TraceFile(TraceMeta{name, "corpus", seed}, adv::make_uniform_noise(p, rng));
-  }
-  if (name == "random-waypoint") {
-    adv::RandomWaypointParams p;
-    p.horizon = scaled(512, scale);
-    const sim::Point start = sim::Point::zero(p.dim);
-    sim::AgentPath path = adv::make_random_waypoint(p, start, rng);
-    return from_moving_client(name, seed, single_agent(start, p.speed, 2.0, std::move(path)));
-  }
-  if (name == "gauss-markov") {
-    adv::GaussMarkovParams p;
-    p.horizon = scaled(512, scale);
-    const sim::Point start = sim::Point::zero(p.dim);
-    sim::AgentPath path = adv::make_gauss_markov(p, start, rng);
-    return from_moving_client(name, seed, single_agent(start, p.speed, 2.0, std::move(path)));
-  }
-  if (name == "zigzag") {
-    adv::ZigZagParams p;
-    p.horizon = scaled(256, scale);
-    const sim::Point start = sim::Point::zero(p.dim);
-    sim::AgentPath path = adv::make_zigzag(p, start);
-    return from_moving_client(name, seed, single_agent(start, p.speed, 2.0, std::move(path)));
-  }
-  throw ContractViolation("unknown corpus scenario: " + name);
-}
-
-std::vector<std::filesystem::path> write_corpus(Recorder& recorder, std::uint64_t seed,
-                                                double scale,
-                                                const std::vector<std::string>& algorithms,
-                                                double speed_factor) {
-  std::vector<std::filesystem::path> paths;
-  paths.reserve(corpus_scenarios().size());
-  for (const CorpusScenario& scenario : corpus_scenarios()) {
-    TraceFile file = make_corpus_trace(scenario.name, seed, scale);
-    for (const std::string& algorithm : algorithms)
-      file.runs.push_back(record_run(file.instance, algorithm, seed, speed_factor));
-    paths.push_back(recorder.write(file));
-  }
-  return paths;
-}
-
-// ---------------------------------------------------------------------------
-// Importers.
-// ---------------------------------------------------------------------------
 
 namespace {
 

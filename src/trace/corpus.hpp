@@ -1,52 +1,16 @@
 /// \file corpus.hpp
-/// The scenario corpus: every generator in src/adversary/ snapshotted into
-/// a named, seeded, serializable TraceFile — plus importers for external
-/// demand/waypoint traces the generators cannot express.
-///
-/// The corpus is the bridge between in-process generator code and the
-/// on-disk world: `mobsrv_trace corpus` materialises it into a directory,
-/// the batch runner replays such directories, and CI records/replays a
-/// corpus smoke. Generation is deterministic: (name, seed, scale) fully
-/// determine the bytes written.
+/// Importers for external demand and waypoint traces: workloads the
+/// generators in src/adversary/ cannot express, read from text tables into
+/// TraceFiles. The compiled generator corpus lives in the scenario layer
+/// (scenario::make_corpus_trace); its "demand" and "waypoints" kinds wrap
+/// these importers.
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
-#include <string>
-#include <vector>
 
-#include "trace/recorder.hpp"
+#include "trace/codec.hpp"  // TraceError
 
 namespace mobsrv::trace {
-
-struct CorpusScenario {
-  std::string name;
-  std::string description;
-};
-
-/// All named scenarios, in stable order: the three lower-bound theorems,
-/// the Moving Client theorem, the realistic workloads, and the three
-/// mobility models (as Moving Client instances).
-[[nodiscard]] const std::vector<CorpusScenario>& corpus_scenarios();
-
-[[nodiscard]] bool is_corpus_scenario(const std::string& name);
-
-/// Builds one scenario. \p scale multiplies the scenario's default horizon
-/// (minimum 16 steps). Throws ContractViolation for unknown names.
-[[nodiscard]] TraceFile make_corpus_trace(const std::string& name, std::uint64_t seed,
-                                          double scale = 1.0);
-
-/// Writes every scenario through the recorder; returns the paths written.
-/// When \p algorithms is non-empty, each file additionally carries runs of
-/// those algorithms recorded at \p speed_factor (seeded with \p seed).
-std::vector<std::filesystem::path> write_corpus(Recorder& recorder, std::uint64_t seed,
-                                                double scale = 1.0,
-                                                const std::vector<std::string>& algorithms = {},
-                                                double speed_factor = 1.5);
-
-// ---------------------------------------------------------------------------
-// External trace import.
-// ---------------------------------------------------------------------------
 
 /// Demand traces: text lines "t x1 [x2 ...]" (space- or comma-separated,
 /// '#' comments), one request per line, step indices non-decreasing. Steps

@@ -20,9 +20,9 @@
 #include "core/session_multiplexer.hpp"
 #include "ext/multi_server.hpp"
 #include "median/geometric_median.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/session.hpp"
 #include "stats/rng.hpp"
-#include "trace/corpus.hpp"
 
 namespace mobsrv {
 namespace {
@@ -180,8 +180,8 @@ TEST(FleetRunMulti, SpeedAugmentationMatchesFrozenEngine) {
 // ---------------------------------------------------------------------------
 
 TEST(FleetSession, AdapterReproducesRunOnTraceCorpusBitIdentically) {
-  for (const trace::CorpusScenario& scenario : trace::corpus_scenarios()) {
-    const trace::TraceFile file = trace::make_corpus_trace(scenario.name, 11, 0.05);
+  for (const scenario::CorpusScenario& scenario : scenario::corpus_scenarios()) {
+    const trace::TraceFile file = scenario::make_corpus_trace(scenario.name, 11, 0.05);
     const sim::Instance& instance = file.instance;
     for (const std::string& name : alg::algorithm_names()) {
       sim::RunOptions options;

@@ -170,6 +170,36 @@ TEST(ScenarioParse, OutOfRangeValuesFail) {
                   "\"epsilon\" must be > 0");
 }
 
+TEST(ScenarioParse, Theorem2DeltaIsAFraction) {
+  // Theorem 2's augmentation is 1 + δ with δ in (0, 1]; its generator
+  // refuses anything above 1, so the parser does too.
+  EXPECT_EQ(parse_text(R"({"v": 1, "name": "t2", "kind": "theorem2", "params": {"delta": 1}})")
+                .params.delta,
+            1.0);
+  expect_rejected(R"({"v": 1, "name": "t2", "kind": "theorem2",
+                      "params": {"horizon": 64, "delta": 2}})",
+                  "scenario \"t2\": \"delta\" must be in (0, 1]");
+}
+
+TEST(ScenarioParse, LowerBoundKindsHaveAHorizonFloor) {
+  // Each lower-bound construction needs a few phases; a shorter horizon is
+  // the scenario's error, named, not a contract violation in the generator.
+  const std::vector<std::pair<std::string, std::size_t>> floors = {
+      {"theorem1", 4}, {"theorem2", 4}, {"theorem3", 2}, {"theorem8-moving-client", 16}};
+  for (const auto& [kind, floor] : floors) {
+    SCOPED_TRACE(kind);
+    const auto doc = [&kind](std::size_t horizon) {
+      return R"({"v": 1, "name": "short", "kind": ")" + kind +
+             R"(", "params": {"horizon": )" + std::to_string(horizon) + "}}";
+    };
+    const Scenario sc = parse_text(doc(floor));
+    EXPECT_EQ(sc.params.horizon, floor);
+    EXPECT_NO_THROW((void)materialize(sc));
+    expect_rejected(doc(floor - 1), "scenario \"short\": \"horizon\" must be >= " +
+                                        std::to_string(floor) + " for kind \"" + kind + "\"");
+  }
+}
+
 TEST(ScenarioParse, RequestTotalIsCappedForEveryBatchedKind) {
   // Each count is capped on its own, but a generator builds horizon × batch
   // size requests: that product is capped too, before anything is built.

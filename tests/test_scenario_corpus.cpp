@@ -1,11 +1,10 @@
 // Sweep over the committed scenarios/ corpus: every file parses, validates
 // and materialises; every key in every file is load-bearing (injecting an
 // unknown key anywhere must fail); the files are byte-identical to
-// canonical_text(starter_corpus()); and every generator kind reproduces the
-// compiled-in corpus instance bit for bit (the parity guarantee that makes
-// scenario files a drop-in replacement for C++ generator calls). A
-// differential golden pins what the params layer makes of several hundred
-// mutated documents, down to the error text and the materialised bytes.
+// canonical_text(starter_corpus()). A differential golden pins what the
+// params layer makes of several hundred mutated documents, down to the
+// error text and the materialised bytes, and a second golden pins the
+// compiled corpus (the starter corpus's generator scenarios, materialised).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include "scenario/scenario.hpp"
 #include "stats/rng.hpp"
 #include "trace/codec.hpp"
-#include "trace/corpus.hpp"
 
 #ifndef MOBSRV_SCENARIOS_DIR
 #error "MOBSRV_SCENARIOS_DIR must point at the committed scenarios/ directory"
@@ -121,38 +119,6 @@ TEST(ScenarioCorpus, EveryFieldInEveryFileIsRecognized) {
           << path << ": unknown key in object #" << i << " was not rejected";
     }
   }
-}
-
-TEST(ScenarioCorpus, GeneratorParityWithCompiledCorpus) {
-  // The 12 compiled-in generators, by their corpus scenario names. The
-  // starter corpus pins exactly the make_corpus_trace(scale = 1) parameters,
-  // so materialising the scenario must reproduce the corpus instance bit for
-  // bit — for several seeds, since the RNG stream is keyed by (name, seed).
-  const std::set<std::string> generators = {
-      "theorem1",         "theorem2",     "theorem3", "theorem8-moving-client",
-      "drifting-hotspot", "drifting-hotspot-1d",      "commute",
-      "bursts",           "uniform-noise", "random-waypoint",
-      "gauss-markov",     "zigzag",
-  };
-  std::size_t covered = 0;
-  for (const Scenario& sc : starter_corpus()) {
-    if (generators.find(sc.name) == generators.end()) continue;
-    ++covered;
-    for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{11}}) {
-      SCOPED_TRACE(sc.name + " @ seed " + std::to_string(seed));
-      Scenario seeded = sc;
-      seeded.seed = seed;
-      trace::TraceFile got = materialize(seeded);
-      const trace::TraceFile want = trace::make_corpus_trace(sc.name, seed, 1.0);
-      EXPECT_EQ(got.meta.seed, want.meta.seed);
-      // Only the provenance tag may differ ("scenario" vs "corpus"); align
-      // it so identical() compares everything else — instance, adversary
-      // solution, moving-client trajectories.
-      got.meta = want.meta;
-      EXPECT_TRUE(trace::identical(got, want));
-    }
-  }
-  EXPECT_EQ(covered, generators.size()) << "starter corpus lost a generator scenario";
 }
 
 TEST(ScenarioCorpus, CommittedCsvDataRoundTrips) {
@@ -366,6 +332,9 @@ TEST(ScenarioGolden, ParamsLayerMatchesRecordedOutput) {
     const std::string got = golden_record(io::Json::parse(line).at("doc").as_string()).dump();
     if (got != line && ++mismatches <= 5)
       ADD_FAILURE() << "golden record " << records << "\n want: " << line << "\n got:  " << got;
+    // Every document the parser accepts, its generator must build.
+    EXPECT_EQ(line.find("ContractViolation"), std::string::npos)
+        << "golden record " << records << " is accepted but refused by its generator: " << line;
   }
   EXPECT_EQ(mismatches, 0u) << "of " << records << " records";
   EXPECT_GE(records, 800u);
@@ -381,7 +350,7 @@ TEST(ScenarioGolden, ParamsLayerMatchesRecordedOutput) {
 //   MOBSRV_WRITE_CORPUS_GOLDEN=1 ./test_scenario_corpus --gtest_filter='ScenarioGolden.*'
 
 io::Json corpus_record(const std::string& name, std::uint64_t seed, double scale) {
-  const trace::TraceFile file = trace::make_corpus_trace(name, seed, scale);
+  const trace::TraceFile file = make_corpus_trace(name, seed, scale);
   io::Json record = io::Json::object();
   record.set("name", io::Json(name));
   record.set("seed", io::Json(seed));
@@ -395,7 +364,7 @@ TEST(ScenarioGolden, CompiledCorpusMatchesRecordedTraces) {
   const fs::path path = fs::path(MOBSRV_GOLDEN_DIR) / "corpus_traces.golden";
   if (std::getenv("MOBSRV_WRITE_CORPUS_GOLDEN") != nullptr) {
     std::ofstream out(path);
-    for (const trace::CorpusScenario& scenario : trace::corpus_scenarios())
+    for (const CorpusScenario& scenario : corpus_scenarios())
       for (const std::uint64_t seed : {0, 3, 7, 11})
         for (const double scale : {0.01, 0.05, 0.1, 1.0})
           out << corpus_record(scenario.name, seed, scale).dump() << '\n';

@@ -94,7 +94,7 @@ void append_runs(trace::TraceFile& file, const std::vector<std::string>& algos,
 
 int cmd_list() {
   std::cout << "corpus scenarios:\n";
-  for (const trace::CorpusScenario& s : trace::corpus_scenarios())
+  for (const scenario::CorpusScenario& s : scenario::corpus_scenarios())
     std::cout << "  " << s.name << "  —  " << s.description << "\n";
   return 0;
 }
@@ -106,7 +106,7 @@ int cmd_record(const io::Args& args) {
   const double scale = args.get_double("scale", 1.0);
   const double speed_factor = args.get_double("speed-factor", 1.5);
 
-  trace::TraceFile file = trace::make_corpus_trace(scenario, seed, scale);
+  trace::TraceFile file = scenario::make_corpus_trace(scenario, seed, scale);
   append_runs(file, parse_algos(args.get_string("algos", "")), speed_factor, seed);
   trace::write_trace(out, file);
   std::cout << "recorded " << file.meta.name << " (T = " << file.instance.horizon() << ", dim "
@@ -235,7 +235,7 @@ int cmd_corpus(const io::Args& args) {
   rec_options.codec = trace::codec_from_name(codec_name);
   trace::Recorder recorder(rec_options);
   const std::vector<std::filesystem::path> paths =
-      trace::write_corpus(recorder, seed, scale, algos, speed_factor);
+      scenario::write_corpus(recorder, seed, scale, algos, speed_factor);
   for (const std::filesystem::path& path : paths) std::cout << "  " << path.string() << "\n";
   std::cout << "corpus: wrote " << paths.size() << " scenario files to " << dir << "\n";
   return 0;
